@@ -1,6 +1,6 @@
 """Revenue approximations for a fixed option set.
 
-Four bounds around the exact value V*:
+Bounds around the exact value V*:
 
 * backward_upper  V^U   — each option priced as if alone; upper bound, and
                           the source of the homogeneous monotone trajectory.
@@ -9,8 +9,10 @@ Four bounds around the exact value V*:
 * dfa             V^DFA — forward recursion of availability probabilities
                           under a fixed homogeneous monotone trajectory;
                           certified lower bound (tight for large demand).
-* fluid / static        — the classical deterministic relaxation (upper)
-                          and stationary-policy restriction (lower).
+* fluid                 — the classical deterministic relaxation (upper),
+                          evaluated through its Lagrangian dual, so the
+                          reported value is a certified bound by itself.
+* static                — stationary-policy restriction (lower).
 
 Values are reported in the instance's own sign convention (see pricing);
 orientation-sensitive steps (the tau^U extremum over types, monotonicity
@@ -26,17 +28,21 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, DomainError, ValidityWarning
 from .model import MarketInstance, OptionSet
 from .numerics import lambert_w_exp
-from .optim import LE, LinearProgram, simplex_solve
 from .pricing import canonical_sign
 
-FLUID_MAX_ITER = 400
 STATIC_MAX_ITER = 1500
 STATIC_STARTS = 8
 _RHO_FLOOR = 1e-9
+# L-BFGS-B tolerances of the fluid dual, and the relative duality gap at
+# which the fluid solve counts as converged
+_FLUID_FTOL = 1e-15
+_FLUID_GTOL = 1e-10
+_FLUID_GAP_TOL = 1e-6
 
 
 @dataclass
@@ -210,126 +216,75 @@ def dfa(
 
 
 # ---------------------------------------------------------------------------
-# fluid approximation (Frank-Wolfe over a polytope, LP oracle)
+# fluid approximation (Lagrangian dual of the capacity rows)
 # ---------------------------------------------------------------------------
 
 
-def _fluid_objective_grad(rho, q, pmf, beta_t, xi_t, mu_t):
-    """Canonical fluid objective and gradient at rho (types, N); returns
-    (-inf, None) outside the interior."""
+def _fluid_objective(rho, q, pmf, beta_c, xi_c, mu_t):
+    """Canonical fluid objective at choice probabilities rho (types, N);
+    -inf outside the interior."""
     rho0 = 1.0 - rho.sum(axis=1)
     if np.any(rho0 <= 0.0) or np.any(rho <= 0.0):
-        return -np.inf, None
-    prices = (np.log(rho) - np.log(rho0)[:, None] - q) / beta_t
-    f = mu_t * float(pmf @ np.sum(rho * (prices - xi_t[None, :]), axis=1)) + xi_t.sum()
-    grad = mu_t * pmf[:, None] * (prices - xi_t[None, :] + 1.0 / (beta_t * rho0[:, None]))
-    return f, grad
+        return -np.inf
+    prices = (np.log(rho) - np.log(rho0)[:, None] - q) / beta_c
+    return mu_t * float(pmf @ np.sum(rho * (prices - xi_c[None, :]), axis=1)) + xi_c.sum()
 
 
-def fluid(
-    instance: MarketInstance,
-    option_set: OptionSet,
-    max_iter: int = FLUID_MAX_ITER,
-    rel_tol: float = 1e-6,
-    line_search: bool = True,
-) -> BoundResult:
-    """Deterministic continuous relaxation, solved by Frank-Wolfe.
+def _fluid_dual(nu, q, pmf, beta_c, xi_c, mu_t):
+    """Dual function g(nu), its gradient, and the inner maximizer rho*(nu).
 
-    The polytope is {rho >= eps, sum_i rho_i^w <= 1, E_X[rho_i] <= 1/(mu T)}
-    and the oracle is the dense simplex. certificate is the best Frank-Wolfe
-    gap seen, so value + certificate upper-bounds the fluid optimum (and
-    hence the exact value, in canonical orientation). If the gap target is
-    not met within max_iter the best value and gap are still returned.
+    For every type the inner problem is the single-arrival closed form at
+    marginal cost xi + nu: revenue -Gamma/beta, choice Gamma/(1+Gamma)
+    times the softmax of the scores.
+    """
+    score = q + beta_c * (xi_c + nu)[None, :]
+    m = score.max(axis=1)
+    e = np.exp(score - m[:, None])
+    total = e.sum(axis=1)
+    gam = lambert_w_exp(m + np.log(total) - 1.0)
+    rho = (gam / ((1.0 + gam) * total))[:, None] * e
+    g = xi_c.sum() + nu.sum() + mu_t * float(pmf @ (-gam / beta_c))
+    return g, 1.0 - mu_t * (pmf @ rho), rho
+
+
+def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
+    """Deterministic continuous relaxation, solved through its Lagrangian dual.
+
+    The primal maximizes the expected fluid revenue over per-type choice
+    probabilities rho subject to E_X[rho_i] <= 1/(mu T) for every option.
+    Dualizing those N rows with multipliers nu >= 0 leaves one closed-form
+    single-arrival problem per type; the smooth convex dual g(nu) is
+    minimized by L-BFGS-B. By weak duality g(nu) bounds the fluid optimum,
+    and hence the exact value, for every nu >= 0, so value is certified on
+    its own even if the solver stops early. certificate is the duality gap
+    against rho*(nu) with each option's column scaled down to feasibility
+    (returned as extra["rho"]).
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     mu_t = instance.arrival_prob * instance.horizon
     if mu_t <= 0:
         raise DomainError("fluid approximation needs mu*T > 0")
     sign = canonical_sign(beta_p)
-    beta_c, xi_c = -abs(beta_p), sign * xi
-    n_types, n = q.shape
-
-    # oracle polytope rows over flattened (type, option) variables
-    rows = []
-    for i in range(n):
-        a = np.zeros(n_types * n)
-        a[i::n] = pmf
-        rows.append((a, LE, 1.0 / mu_t))
-    for w in range(n_types):
-        a = np.zeros(n_types * n)
-        a[w * n : (w + 1) * n] = 1.0
-        rows.append((a, LE, 1.0))
-    lp_bounds = [(_RHO_FLOOR, None)] * (n_types * n)
-
-    x = np.full((n_types, n), 0.5 * min(1.0 / mu_t, 1.0 / (n + 1.0)))
-    x = np.maximum(x, _RHO_FLOOR)
-    f, grad = _fluid_objective_grad(x, q, pmf, beta_c, xi_c, mu_t)
-    basis = None
-    best_gap = np.inf
-    converged = False
-    for k in range(max_iter):
-        lp = LinearProgram(objective=grad.ravel(), constraints=rows, bounds=lp_bounds)
-        sol = simplex_solve(lp, warm_basis=basis)
-        basis = sol.basis
-        s = sol.primal.reshape(n_types, n)
-        gap = float(np.sum(grad * (s - x)))
-        best_gap = min(best_gap, max(gap, 0.0))
-        if best_gap <= rel_tol * max(1.0, abs(f)):
-            converged = True
-            break
-        d = s - x
-        gamma = min(2.0 / (k + 2.0), 1.0 - 1e-9)
-        if line_search:
-            gamma = _fluid_line_search(
-                x, d, gamma, q, pmf, beta_c, xi_c, mu_t
-            )
-        x_new = x + gamma * d
-        f_new, grad_new = _fluid_objective_grad(x_new, q, pmf, beta_c, xi_c, mu_t)
-        if f_new <= f:  # keep monotone; shrink toward the current point
-            gamma *= 0.5
-            x_new = x + gamma * d
-            f_new, grad_new = _fluid_objective_grad(x_new, q, pmf, beta_c, xi_c, mu_t)
-            if f_new <= f:
-                continue
-        x, f, grad = x_new, f_new, grad_new
+    args = (q, pmf, -abs(beta_p), sign * xi, mu_t)
+    n = q.shape[1]
+    res = minimize(
+        lambda nu: _fluid_dual(nu, *args)[:2],
+        np.zeros(n),
+        jac=True,
+        method="L-BFGS-B",
+        bounds=[(0.0, None)] * n,
+        options={"ftol": _FLUID_FTOL, "gtol": _FLUID_GTOL},
+    )
+    g, _, rho = _fluid_dual(np.maximum(res.x, 0.0), *args)
+    rho = rho / np.maximum(1.0, mu_t * (pmf @ rho))[None, :]
+    gap = max(g - _fluid_objective(rho, *args), 0.0)
     return BoundResult(
         kind="fluid",
-        value=sign * f,
-        certificate=float(best_gap),
+        value=float(sign * g),
+        certificate=float(gap),
         certified=True,
-        extra={"converged": converged, "rho": x},
+        extra={"converged": gap <= _FLUID_GAP_TOL * max(1.0, abs(g)), "rho": rho},
     )
-
-
-def _fluid_line_search(x, d, gamma0, q, pmf, beta_c, xi_c, mu_t):
-    """Golden-section refinement of the step length (objective is concave
-    along the segment)."""
-    lo, hi = 0.0, 1.0 - 1e-9
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def val(g):
-        f, _ = _fluid_objective_grad(x + g * d, q, pmf, beta_c, xi_c, mu_t)
-        return f
-
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1, f2 = val(c1), val(c2)
-    for _ in range(40):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = val(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = val(c1)
-        if b - a < 1e-10:
-            break
-    g = 0.5 * (a + b)
-    fg = val(g)
-    f0 = val(gamma0)
-    return g if fg >= f0 else gamma0
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .model import (
 )
 from .numerics import weighted_lse_rows
 from .optim import SetPartitionMilp, assignment_options, bnb_solve, enumerate_top_solutions, simplex_solve
-from .optim import EQ, LE, LinearProgram
 from .pricing import canonical_sign
 
 
@@ -135,17 +134,6 @@ class _SetEvaluator:
         return val
 
 
-def _master_lp(item_ids, columns, rewards, max_bundles) -> LinearProgram:
-    n = len(columns)
-    rows = []
-    for l in item_ids:
-        a = np.array([1.0 if l in o.items else 0.0 for o in columns])
-        rows.append((a, EQ, 1.0))
-    bundle_row = np.array([1.0 if o.cardinality > 1 else 0.0 for o in columns])
-    rows.append((bundle_row, LE, float(max_bundles)))
-    return LinearProgram(objective=np.asarray(rewards, dtype=float), constraints=rows)
-
-
 def column_generation(
     instance: MarketInstance,
     config: ColumnGenConfig = ColumnGenConfig(),
@@ -191,7 +179,9 @@ def column_generation(
     warm = None
 
     while True:
-        lp = _master_lp(item_ids, [pool[j] for j in columns], rewards, instance.max_bundles)
+        lp = SetPartitionMilp(
+            [pool[j] for j in columns], rewards, item_ids, instance.max_bundles
+        ).base_lp()
         sol = simplex_solve(lp, warm_basis=warm)
         warm = sol.basis
         master_obj = sol.objective

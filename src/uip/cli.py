@@ -13,9 +13,7 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,11 +41,9 @@ from .model import (
 from .pricing import exact_dp
 
 def _spec_hash(args: dict) -> str:
-    """Hash of the experiment-defining arguments (execution details like
-    thread count, output path, and the handler function are excluded)."""
-    semantic = {
-        k: v for k, v in args.items() if k not in ("func", "out", "threads")
-    }
+    """Hash of the experiment-defining arguments (the output path and the
+    handler function are excluded)."""
+    semantic = {k: v for k, v in args.items() if k not in ("func", "out")}
     blob = json.dumps(semantic, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -69,13 +65,6 @@ def _csv(provenance: str, header: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _threads(args) -> int:
-    env = os.environ.get("UIP_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, args.threads)
 
 
 def _load_instance(args) -> MarketInstance:
@@ -114,7 +103,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seeds", type=int, default=1, help="number of seeds to sweep")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--threads", type=int, default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +146,7 @@ def cmd_bounds_table(args) -> int:
         return out
 
     seeds = [args.seed + k for k in range(args.seeds)]
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        rows = list(ex.map(one, seeds))
+    rows = list(map(one, seeds))
     kinds = ["fluid", "upper_backward", "dfa", "lower_backward", "static"]
     table = [
         [kind, args.L, lam, float(np.mean([r[kind] for r in rows]))]
@@ -222,9 +209,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_figure1(args) -> int:
     grid = _parse_grid(args.lambda_grid)
-
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        vals = list(ex.map(intro_example_values, grid))
+    vals = list(map(intro_example_values, grid))
     rows = [
         [float(lam), v0, v1, v2] for lam, (v0, v1, v2) in zip(grid, vals)
     ]
@@ -345,8 +330,7 @@ def cmd_condition_scatter(args) -> int:
         return [lam, n_bundle, delta_kappa, threshold, v - v0,
                 int(delta_kappa >= threshold), int(v > v0)]
 
-    with ThreadPoolExecutor(max_workers=_threads(args)) as ex:
-        rows = list(ex.map(one, draws))
+    rows = list(map(one, draws))
     header = ["lambda", "bundle_size", "delta_kappa", "threshold",
               "improvement", "condition_satisfied", "improvement_positive"]
     if args.format == "json":

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library, and the context
+manager that reports a malformed input document as ConfigError."""
+
+from contextlib import contextmanager
 
 
 class UipError(Exception):
@@ -51,3 +54,17 @@ class DimensionMismatch(UipError, ValueError):
 
 class ValidityWarning(UserWarning):
     """A returned value is not certified as a bound (preconditions not met)."""
+
+
+@contextmanager
+def config_errors(what: str):
+    """Re-raise the KeyError, TypeError and ValueError of parsing a document
+    as ConfigError naming `what`; library errors pass through unchanged."""
+    try:
+        yield
+    except UipError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc

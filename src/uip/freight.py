@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, DomainError, MissingFreightData
+from .errors import ConfigError, DomainError, MissingFreightData, config_errors
 from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
 from .numerics import lambert_w_exp, log_sum_exp
 
@@ -367,19 +367,21 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, text: str, regions: Optional["RegionModel"] = None):
-        d = json.loads(text)
-        sup = d["supply"]
-        supply = SupplyModel(
-            rate=float(sup["rate"]),
-            lifetime=(int(sup["lifetime"][0]), int(sup["lifetime"][1])),
-            scatter=float(sup.get("scatter", 15.0)),
-            pickup_pmf=np.asarray(sup["pickup_pmf"], dtype=float) if "pickup_pmf" in sup else None,
-            dropoff_pmf=np.asarray(sup["dropoff_pmf"], dtype=float) if "dropoff_pmf" in sup else None,
-        )
-        kwargs = {k: v for k, v in d.items() if k != "supply"}
-        if "topk_pmf" in kwargs and kwargs["topk_pmf"] is not None:
-            kwargs["topk_pmf"] = np.asarray(kwargs["topk_pmf"], dtype=float)
-        return cls(supply=supply, **kwargs)
+        """Parse a config; malformed JSON or a missing or unknown key raise
+        ConfigError."""
+        with config_errors("SimConfig JSON"):
+            d = json.loads(text)
+            sup = dict(d["supply"])
+            sup["rate"] = float(sup["rate"])
+            sup["lifetime"] = (int(sup["lifetime"][0]), int(sup["lifetime"][1]))
+            sup["scatter"] = float(sup.get("scatter", 15.0))
+            for key in ("pickup_pmf", "dropoff_pmf"):
+                if key in sup:
+                    sup[key] = np.asarray(sup[key], dtype=float)
+            kwargs = {k: v for k, v in d.items() if k != "supply"}
+            if kwargs.get("topk_pmf") is not None:
+                kwargs["topk_pmf"] = np.asarray(kwargs["topk_pmf"], dtype=float)
+            return cls(supply=SupplyModel(**sup), **kwargs)
 
 
 @dataclass

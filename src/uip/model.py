@@ -20,7 +20,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, PartitionMismatch, UnknownScenario
+from .errors import (
+    CapExceeded,
+    ConfigError,
+    DomainError,
+    PartitionMismatch,
+    UnknownScenario,
+    config_errors,
+)
 from .numerics import log_sum_exp
 
 DEFAULT_OPTION_CAP = 200_000
@@ -223,7 +230,9 @@ class MarketInstance:
 
     @property
     def horizon(self) -> int:
-        return int(math.floor(self.demand / self.arrival_prob))
+        # the slack keeps a mathematically integral ratio such as 0.3/0.1
+        # (2.9999999999999996 in floating point) from losing a period
+        return int(math.floor(self.demand / self.arrival_prob + 1e-9))
 
     @property
     def n_items(self) -> int:
@@ -331,10 +340,6 @@ def aggregated_quality(customer: CustomerModel, option) -> float:
     return log_sum_exp(q, customer.arrival_pmf)
 
 
-def aggregated_quality_of_set(customer: CustomerModel, option_set: OptionSet) -> float:
-    return sum(aggregated_quality(customer, o) for o in option_set)
-
-
 # ---------------------------------------------------------------------------
 # synthetic instances
 # ---------------------------------------------------------------------------
@@ -342,16 +347,17 @@ def aggregated_quality_of_set(customer: CustomerModel, option_set: OptionSet) ->
 SCENARIOS = ("bounds-two-type", "A", "B", "C")
 
 
-def _scenario_quality(scenario: str, beta: float, features: np.ndarray):
+def _scenario_quality(scenario: str, beta: float, features):
     """Quality function over (option, type) for the built-in scenarios.
 
-    Items carry two intrinsic qualities (a, b); type 1 of the bundling
-    scenarios values their average while type 2 varies by scenario.
+    features[id] holds the two intrinsic qualities (a, b) of an item; type 1
+    of the bundling scenarios values their average while type 2 varies by
+    scenario.
     """
 
     def q(option: BundleOption, w: int) -> float:
-        sa = float(sum(features[i, 0] for i in option.items))
-        sb = float(sum(features[i, 1] for i in option.items))
+        sa = float(sum(features[i][0] for i in option.items))
+        sb = float(sum(features[i][1] for i in option.items))
         if scenario == "bounds-two-type":
             return beta * (sa + 0.5 * sb) if w == 0 else beta * (0.5 * sa + sb)
         if w == 0:
@@ -398,7 +404,7 @@ def generate_synthetic(
         types=(1, 2),
         arrival_pmf=np.array([0.5, 0.5]),
         price_sensitivity=beta_p,
-        quality=_scenario_quality(scenario, beta, features),
+        quality=_scenario_quality(scenario, beta, {it.id: it.features for it in items}),
     )
     return MarketInstance(
         items=items,
@@ -453,7 +459,13 @@ def instance_to_json(instance: MarketInstance, quality_spec: dict) -> str:
 
 
 def instance_from_json(text: str) -> MarketInstance:
-    doc = json.loads(text)
+    """Parse an instance written by instance_to_json. Malformed JSON, a
+    missing key or a negative item id raise ConfigError."""
+    with config_errors("instance JSON"):
+        return _instance_from_doc(json.loads(text))
+
+
+def _instance_from_doc(doc: dict) -> MarketInstance:
     items = []
     for d in doc["items"]:
         freight = None
@@ -464,26 +476,21 @@ def instance_from_json(text: str) -> MarketInstance:
                 dropoff=tuple(f["dropoff"]),
                 expiration=int(f["expiration"]),
             )
-        items.append(
-            Item(
-                id=int(d["id"]),
-                salvage=float(d.get("salvage", 0.0)),
-                features=tuple(d["features"]) if "features" in d else None,
-                freight=freight,
-            )
+        item = Item(
+            id=int(d["id"]),
+            salvage=float(d.get("salvage", 0.0)),
+            features=tuple(d["features"]) if "features" in d else None,
+            freight=freight,
         )
+        if item.id < 0:
+            raise ConfigError(f"item ids must be nonnegative, got {item.id}")
+        items.append(item)
     items = tuple(items)
     cust = doc["customer"]
     spec = cust["quality_spec"]
     if "scenario" in spec:
-        features = np.array(
-            [it.features if it.features else (0.0, 0.0) for it in items], dtype=float
-        )
-        id_row = {it.id: k for k, it in enumerate(items)}
-        feat = np.zeros((max(id_row.values()) + 1, 2)) if items else np.zeros((0, 2))
-        for it in items:
-            feat[it.id] = features[id_row[it.id]]
-        quality = _scenario_quality(spec["scenario"], float(spec.get("beta", 1.0)), feat)
+        features = {it.id: it.features or (0.0, 0.0) for it in items}
+        quality = _scenario_quality(spec["scenario"], float(spec.get("beta", 1.0)), features)
     elif "freight" in spec:
         from .freight import FreightCoeffs, RegionModel, make_freight_quality
 

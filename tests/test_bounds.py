@@ -14,7 +14,7 @@ from uip.bounds import (
 from uip.errors import DimensionMismatch, ValidityWarning
 from uip.model import CustomerModel, Item, MarketInstance, generate_synthetic, singletons
 from uip.numerics import lambert_w0
-from uip.pricing import exact_dp
+from uip.pricing import canonical_sign, exact_dp
 
 
 def single_item_instance(q=0.0, beta_p=-1.0, salvage=0.0, demand=1.0, mu=1.0):
@@ -170,6 +170,27 @@ class TestFluid:
             v = exact_dp(inst, s0).value()
             assert res.value + res.certificate >= v - 1e-6
 
+    def test_rho_feasible_and_certificate_is_duality_gap(self):
+        for seed, lam in ((0, 2.0), (1, 3.0), (2, 20.0)):
+            inst = random_instance(seed, lam=lam, salvage_max=0.5)
+            s0 = singletons(inst)
+            res = fluid(inst, s0)
+            rho = res.extra["rho"]
+            cust = inst.customer
+            pmf, beta_p = cust.arrival_pmf, cust.price_sensitivity
+            mu_t = inst.arrival_prob * inst.horizon
+            assert np.all(rho > 0)
+            assert np.all(rho.sum(axis=1) < 1)
+            assert np.all(mu_t * (pmf @ rho) <= 1 + 1e-12)
+            # primal fluid revenue at rho, priced by inverting the MNL map
+            q = cust.quality_matrix(s0.options)
+            xi = inst.salvage_vector(s0.options)
+            rho0 = 1 - rho.sum(axis=1, keepdims=True)
+            prices = (np.log(rho) - np.log(rho0) - q) / beta_p
+            f = mu_t * pmf @ np.sum(rho * (prices - xi), axis=1) + xi.sum()
+            assert res.certificate == pytest.approx(res.value - f, abs=1e-9)
+            assert res.extra["converged"]
+
     def test_gap_does_not_vanish(self):
         # fluid stays bounded away from V* as the horizon grows
         diffs = []
@@ -221,6 +242,21 @@ class TestSandwich:
             assert suite["dfa"].value <= v + 1e-9
             assert suite["upper_backward"].value >= v - 1e-9
             assert suite["fluid"].value + suite["fluid"].certificate >= v - 1e-6
+
+    def test_full_sandwich_freight_orientation(self):
+        # beta_p > 0: the sandwich holds in the canonical orientation
+        inst = generate_synthetic(3, 3, "bounds-two-type", 1.0, demand=3.0,
+                                  arrival_prob=0.1, beta_p=1.0, salvage=0.5,
+                                  max_bundle_size=1)
+        s = canonical_sign(inst.customer.price_sensitivity)
+        s0 = singletons(inst)
+        v = s * exact_dp(inst, s0).value()
+        suite = {k: s * r.value for k, r in bound_suite(inst, s0).items()}
+        assert suite["static"] <= v + 1e-9
+        assert suite["lower_backward"] <= v + 1e-9
+        assert suite["dfa"] <= v + 1e-9
+        assert suite["upper_backward"] >= v - 1e-9
+        assert suite["fluid"] >= v - 1e-9
 
 
 def test_check_monotone_freight_sign():

@@ -23,9 +23,11 @@ class TestDeterminism:
         assert a[0] == 0
 
     def test_figure1_byte_identical_with_threads(self, tmp_path):
-        a = run(tmp_path, "figure1", "--lambda-grid", "0.5:10:6:log", "--threads", "1")
-        b = run(tmp_path, "figure1", "--lambda-grid", "0.5:10:6:log", "--threads", "3")
+        # the sweeps run sequentially; two runs must still agree byte for byte
+        a = run(tmp_path, "figure1", "--lambda-grid", "0.5:10:6:log")
+        b = run(tmp_path, "figure1", "--lambda-grid", "0.5:10:6:log")
         assert a == b
+        assert a[0] == 0
 
     def test_simulate_byte_identical(self, tmp_path):
         import json as _json
@@ -90,6 +92,34 @@ class TestOutputs:
     def test_missing_file_nonzero_exit(self, tmp_path):
         code = main(["exact", "--instance", str(tmp_path / "nope.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("cfg, needle", [
+        ({"horizon_periods": 50, "seed": 1}, "missing key 'supply'"),
+        ({"supply": {"lifetime": [10, 20]}, "horizon_periods": 50, "seed": 1},
+         "missing key 'rate'"),
+        ({"supply": {"rate": 0.2, "lifetime": [10, 20]}, "horizon_periods": 50,
+          "seed": 1, "horizon": 9}, "horizon"),
+        ({"supply": {"rate": 0.2, "lifetime": [10, 20], "speed": 2},
+          "horizon_periods": 50, "seed": 1}, "speed"),
+    ])
+    def test_bad_simulate_config_is_an_error(self, tmp_path, capsys, cfg, needle):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, _ = run(tmp_path, "simulate", "--config", str(p))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and needle in err
+
+    def test_bad_bundle_instance_is_an_error(self, tmp_path, capsys):
+        inst = generate_synthetic(0, 3, "B", 2.0, demand=2.0)
+        doc = json.loads(instance_to_json(inst, {"scenario": "B", "beta": 2.0}))
+        del doc["customer"]["pmf"]
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        code, _ = run(tmp_path, "bundle", "--instance", str(p))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "missing key 'pmf'" in err
 
     def test_simulate_with_coeff_and_region_files(self, tmp_path):
         from uip.freight import demo_coeffs, demo_regions

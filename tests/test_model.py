@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from uip.errors import CapExceeded, PartitionMismatch, UnknownScenario
+from uip.errors import CapExceeded, ConfigError, PartitionMismatch, UnknownScenario
 from uip.model import (
     BundleOption,
     CustomerModel,
@@ -232,6 +234,17 @@ class TestSynthetic:
         inst = generate_synthetic(0, 3, "A", 1.0, demand=2.05, arrival_prob=0.1)
         assert inst.horizon == 20
 
+    def test_horizon_integral_ratio_keeps_its_period(self):
+        # lambda = k/10, mu = m/100: T = floor(10k/m) in exact arithmetic;
+        # 0.3/0.1 rounds to 2.9999999999999996 in floating point
+        wrong = []
+        for k in range(1, 200):
+            for m in (5, 10, 20, 30):
+                inst = tiny_instance(n=1, demand=k / 10, arrival_prob=m / 100)
+                if inst.horizon != (10 * k) // m:
+                    wrong.append((k / 10, m / 100, inst.horizon))
+        assert wrong == []
+
 
 class TestSerialization:
     def test_scenario_roundtrip(self):
@@ -246,6 +259,23 @@ class TestSerialization:
         assert np.allclose(
             back.customer.quality_matrix(opts), inst.customer.quality_matrix(opts)
         )
+
+    def test_scenario_sparse_item_ids(self):
+        inst = generate_synthetic(2, 3, "A", 1.0)
+        doc = json.loads(instance_to_json(inst, {"scenario": "A", "beta": 1.0}))
+        doc["items"][2]["id"] = 7
+        back = instance_from_json(json.dumps(doc))
+        assert sorted(back.items_by_id()) == [0, 1, 7]
+        want = inst.customer.quality_matrix([BundleOption((2,)), BundleOption((0, 2))])
+        got = back.customer.quality_matrix([BundleOption((7,)), BundleOption((0, 7))])
+        assert np.array_equal(got, want)
+
+    def test_negative_item_id_rejected(self):
+        inst = generate_synthetic(2, 3, "A", 1.0)
+        doc = json.loads(instance_to_json(inst, {"scenario": "A", "beta": 1.0}))
+        doc["items"][2]["id"] = -1
+        with pytest.raises(ConfigError):
+            instance_from_json(json.dumps(doc))
 
     def test_freight_roundtrip(self):
         from uip.freight import demo_coeffs, demo_regions
