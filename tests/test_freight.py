@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -358,6 +359,119 @@ class TestSimulate:
             alive *= 1.0 - mu * float(regions.arrival_pmf @ (e / (1.0 + e)))
         se = math.sqrt(alive * (1 - alive) / resolved)
         assert abs(emp - alive) <= 4 * se + 0.01
+
+
+# Per-replication metrics of demo_sim_config(seed=3, replications=3) at 400
+# periods and demo_coeffs(aversion=-3.0), recorded from the scalar
+# simulator before its arrival loop was batched. They pin every draw site
+# and pricing path: a batched rewrite must reproduce them to 1e-9 relative.
+GOLDEN_SETTINGS = {
+    "rolling_custom": dict(pricing="custom"),
+    "rolling_linear": dict(pricing="linear"),
+    "personalized": dict(pricing="custom", framework="personalized"),
+    "no_bundle": dict(pricing="custom", framework="no_bundle"),
+    "sequential_logit": dict(pricing="custom", choice_mode="sequential_logit"),
+    "min_empty_miles": dict(pricing="custom", bundling="min_empty_miles"),
+}
+
+GOLDEN_METRICS = {
+    "rolling_custom": {
+        "cost_per_loaded_mile": (1.696589852054611, 1.636315979200958, 1.7107394698207345),
+        "avg_empty_miles": (48.574346294877195, 45.50386150739619, 60.828306816712235),
+        "unmet_deadline_rate": (0.04054054054054054, 0.013071895424836602, 0.03468208092485549),
+        "total_cost": (62002.10922537563, 61901.22019132179, 73604.35193260663),
+        "loaded_miles": (36545.1373826677, 37829.625193508924, 43024.87505027256),
+        "empty_miles": (7189.003251641825, 6962.0908106316165, 10523.297079291217),
+        "booked": (142.0, 151.0, 167.0),
+        "salvaged": (6.0, 2.0, 6.0),
+        "price_paid": (59117.118941857494, 61287.57954508181, 71094.9421972556),
+        "penalty_paid": (2884.990283518141, 613.6406462399771, 2509.4097353510288),
+        "booked_miles": (35583.47395482832, 37625.07831142892, 42188.40513848887),
+        "salvaged_miles": (961.6634278393803, 204.54688207999237, 836.4699117836764),
+    },
+    "rolling_linear": {
+        "cost_per_loaded_mile": (1.6562806033765962, 1.6005958033829268, 1.7077377469575117),
+        "avg_empty_miles": (42.565907592758, 40.82426008206983, 55.11718981136681),
+        "unmet_deadline_rate": (0.05405405405405406, 0.025974025974025976, 0.07471264367816093),
+        "total_cost": (60529.002194645465, 60793.061862123686, 73911.57670025447),
+        "loaded_miles": (36545.1373826677, 37981.52021493183, 43280.402293580846),
+        "empty_miles": (6299.754323728184, 6286.936052638754, 9590.391027177826),
+        "booked": (140.0, 150.0, 161.0),
+        "salvaged": (8.0, 4.0, 13.0),
+        "price_paid": (56407.31307603134, 59152.515996863134, 66585.07410003817),
+        "penalty_paid": (4121.68911861413, 1640.5458652605419, 7326.502600216344),
+        "booked_miles": (35171.24100979632, 37434.67159317831, 40838.2347601754),
+        "salvaged_miles": (1373.8963728713768, 546.848621753514, 2442.1675334054485),
+    },
+    "personalized": {
+        "cost_per_loaded_mile": (1.6850835993497506, 1.6612827831130739, 1.6939209735010594),
+        "avg_empty_miles": (51.680309012713835, 41.991871517048686, 45.33733214702007),
+        "unmet_deadline_rate": (0.006493506493506494, 0.007246376811594203, 0.011235955056179775),
+        "total_cost": (64823.90116695817, 57312.03978310203, 74578.16493598197),
+        "loaded_miles": (38469.249354733955, 34498.66594999867, 44026.944646562246),
+        "empty_miles": (7958.767587957931, 5794.878269352719, 8070.045122169573),
+        "booked": (153.0, 137.0, 176.0),
+        "salvaged": (1.0, 1.0, 2.0),
+        "price_paid": (64309.938480104036, 56804.67030257201, 73986.6599173463),
+        "penalty_paid": (513.9626868541278, 507.36948053001504, 591.5050186356686),
+        "booked_miles": (38297.92845911591, 34329.542789822, 43829.77630701702),
+        "salvaged_miles": (171.3208956180426, 169.1231601766717, 197.16833954522292),
+    },
+    "no_bundle": {
+        "cost_per_loaded_mile": (1.7579439975870872, 1.7005568809914378, 1.8335425139708192),
+        "avg_empty_miles": (49.021062427376236, 37.37234212402649, 44.37590862137031),
+        "unmet_deadline_rate": (0.13513513513513514, 0.07894736842105263, 0.16091954022988506),
+        "total_cost": (64265.35633778809, 64010.13636830289, 79499.94977815909),
+        "loaded_miles": (36557.11241427327, 37640.691166404555, 43358.66181034967),
+        "empty_miles": (7255.117239251683, 5680.596002852026, 7721.408100118433),
+        "booked": (128.0, 140.0, 146.0),
+        "salvaged": (20.0, 12.0, 28.0),
+        "price_paid": (51918.82518802906, 57141.56553250216, 61967.532870651245),
+        "penalty_paid": (12346.531149759054, 6868.570835800738, 17532.416907507904),
+        "booked_miles": (32441.602031020244, 35351.16755447096, 37514.522841180384),
+        "salvaged_miles": (4115.5103832530185, 2289.523611933579, 5844.1389691693),
+    },
+    "sequential_logit": {
+        "cost_per_loaded_mile": (1.6853734520916257, 1.7085986993540867, 1.5978598110995905),
+        "avg_empty_miles": (53.070852046244156, 53.64590036488092, 59.64600291916271),
+        "unmet_deadline_rate": (0.029239766081871343, 0.03184713375796178, 0.013605442176870748),
+        "total_cost": (71510.12176048243, 64731.288322871216, 59543.593645404704),
+        "loaded_miles": (42429.83753644339, 37885.60084198942, 37264.59181949693),
+        "empty_miles": (9075.11569990775, 8422.406357286305, 8767.962429116918),
+        "booked": (166.0, 152.0, 145.0),
+        "salvaged": (5.0, 5.0, 2.0),
+        "price_paid": (69183.37715188938, 62259.58689069747, 58838.47895428045),
+        "penalty_paid": (2326.744608593052, 2471.7014321737342, 705.1146911242524),
+        "booked_miles": (41654.2560002457, 37061.70036459817, 37029.55358912217),
+        "salvaged_miles": (775.581536197684, 823.9004773912447, 235.0382303747508),
+    },
+    "min_empty_miles": {
+        "cost_per_loaded_mile": (1.7066167848569174, 1.6620231158394076, 1.7262750691893236),
+        "avg_empty_miles": (45.66460847180976, 43.01007451472889, 50.98128562535564),
+        "unmet_deadline_rate": (0.05405405405405406, 0.025974025974025976, 0.03488372093023256),
+        "total_cost": (62368.54486216269, 63266.67914328399, 73948.5974147276),
+        "loaded_miles": (36545.1373826677, 38066.06450917564, 42837.08821066078),
+        "empty_miles": (6758.362053827844, 6623.551475268249, 8768.78112756117),
+        "booked": (140.0, 150.0, 166.0),
+        "salvaged": (8.0, 4.0, 6.0),
+        "price_paid": (58606.298047638105, 61307.723582909486, 70177.50634836694),
+        "penalty_paid": (3762.2468145245953, 1958.9555603745177, 3771.0910663606455),
+        "booked_miles": (35291.055111159505, 37413.079322384125, 41580.05785520722),
+        "salvaged_miles": (1254.0822715081988, 652.985186791506, 1257.0303554535483),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SETTINGS))
+def test_golden_replication_metrics(name):
+    cfg = dataclasses.replace(
+        demo_sim_config(seed=3, replications=3, **GOLDEN_SETTINGS[name]),
+        horizon_periods=400,
+    )
+    m = simulate(cfg, demo_coeffs(aversion=-3.0), demo_regions())
+    assert set(m.samples) == set(GOLDEN_METRICS[name])
+    for key, expect in GOLDEN_METRICS[name].items():
+        np.testing.assert_allclose(m.samples[key], expect, rtol=1e-9, atol=0, err_msg=key)
 
 
 class TestConfigs:
