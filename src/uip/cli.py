@@ -26,7 +26,7 @@ from .bundling import (
     greedy_bundle,
     optimality_gap,
 )
-from .errors import UipError
+from .errors import UipError, config_errors
 from .freight import RegionModel, FreightCoeffs, SimConfig, demo_coeffs, demo_regions, simulate
 from .model import (
     BundleOption,
@@ -268,10 +268,10 @@ def cmd_simulate(args) -> int:
     coeffs = demo_coeffs()
     regions = demo_regions()
     if args.coeffs:
-        with open(args.coeffs) as fh:
+        with open(args.coeffs) as fh, config_errors(f"coeffs file {args.coeffs}"):
             coeffs = FreightCoeffs.from_dict(json.load(fh))
     if args.regions:
-        with open(args.regions) as fh:
+        with open(args.regions) as fh, config_errors(f"regions file {args.regions}"):
             regions = RegionModel.from_dict(json.load(fh))
     metrics = simulate(cfg, coeffs, regions)
     if args.format == "json":

@@ -23,7 +23,7 @@ from scipy import stats
 
 from .errors import ConfigError, DomainError, MissingFreightData, config_errors
 from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
-from .numerics import lambert_w_exp, log_sum_exp
+from .numerics import lambert_w_exp, log_sum_exp, weighted_lse_rows
 
 
 @dataclass(frozen=True)
@@ -212,14 +212,28 @@ def freight_instance(
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_price(q: np.ndarray, delta: np.ndarray, beta_p: float, pmf) -> np.ndarray:
+    """Single-arrival optimal prices of k options with qualities q (k, R) and
+    marginal values delta (k,), all in one lambert_w_exp call."""
+    gam = lambert_w_exp(q + beta_p * delta[:, None] - 1.0)
+    return delta - (1.0 + gam @ pmf) / beta_p
+
+
+def _log_trajectory(pbar, kappa, togo, beta_p: float):
+    """Array form of log_price; togo = alpha * mu * (periods after this one)."""
+    x = -(beta_p * pbar + kappa)
+    with np.errstate(divide="ignore"):  # togo = 0: log 0 = -inf leaves x unchanged
+        inner = np.logaddexp(x, np.log(togo))
+    return (-1.0 / beta_p) * (inner + kappa)
+
+
 def expiration_price(load: Item, coeffs: FreightCoeffs, regions: RegionModel) -> float:
     """Price in the period preceding expiration: the expected optimal price
     across regions if the load were the only option, at marginal value equal
     to its salvage."""
     q = quality_vector([load], coeffs, regions)
-    xi = load.salvage
-    gam = lambert_w_exp(q + coeffs.beta_p * xi - 1.0)
-    return xi - (1.0 + float(regions.arrival_pmf @ gam)) / coeffs.beta_p
+    return float(_closed_form_price(q[None, :], np.array([load.salvage]), coeffs.beta_p,
+                                    regions.arrival_pmf)[0])
 
 
 def singleton_kappa(load: Item, coeffs: FreightCoeffs, regions: RegionModel) -> float:
@@ -244,18 +258,14 @@ def log_price(
     tbar = load.freight.expiration
     if t < 0 or t > tbar - 1:
         raise DomainError(f"t={t} outside [0, {tbar - 1}]")
-    x = -(coeffs.beta_p * pbar + kappa)
-    togo = alpha * mu * (tbar - 1 - t)
-    inner = np.logaddexp(x, math.log(togo)) if togo > 0 else x
-    return float((-1.0 / coeffs.beta_p) * (inner + kappa))
+    return float(_log_trajectory(pbar, kappa, alpha * mu * (tbar - 1 - t), coeffs.beta_p))
 
 
-def load_marginal_value(
-    price: float, kappa: float, beta_p: float
-) -> float:
+def load_marginal_value(price, kappa, beta_p: float):
     """Marginal value consistent with the price being the single-option
-    optimum: Delta = p + (1/beta_p)(1 + E_X[e^{q + beta_p p}])."""
-    return price + (1.0 + math.exp(beta_p * price + kappa)) / beta_p
+    optimum: Delta = p + (1/beta_p)(1 + E_X[e^{q + beta_p p}]). Accepts
+    scalars or arrays."""
+    return price + (1.0 + np.exp(beta_p * price + kappa)) / beta_p
 
 
 def bundle_price(
@@ -272,10 +282,9 @@ def bundle_price(
         return float(np.sum(member_prices))
     if mode != "custom":
         raise ConfigError(f"unknown bundle pricing mode {mode!r}")
-    delta_b = float(np.sum(member_marginals))
     qb = quality_vector(loads, coeffs, regions)
-    gam = lambert_w_exp(qb + coeffs.beta_p * delta_b - 1.0)
-    return delta_b - (1.0 + float(regions.arrival_pmf @ gam)) / coeffs.beta_p
+    delta_b = np.array([np.sum(member_marginals)])
+    return float(_closed_form_price(qb[None, :], delta_b, coeffs.beta_p, regions.arrival_pmf)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +375,7 @@ class SimConfig:
             raise ConfigError("need at least one replication")
 
     @classmethod
-    def from_json(cls, text: str, regions: Optional["RegionModel"] = None):
+    def from_json(cls, text: str):
         """Parse a config; malformed JSON or a missing or unknown key raise
         ConfigError."""
         with config_errors("SimConfig JSON"):
@@ -432,60 +441,60 @@ class SimMetrics:
         )
 
 
-class _Load:
-    __slots__ = (
-        "uid", "pickup", "dropoff", "dist", "expiry", "lifetime",
-        "q", "kappa", "pbar", "org", "dst",
-    )
+class _Loads:
+    """Every load of one replication as a struct of arrays indexed by uid.
+    add() records the geometry; the caller fills q, kappa and pbar for each
+    period's new loads in one pass. The arrays double in length when full."""
 
-    def __init__(self, uid, pickup, dropoff, expiry, lifetime, coeffs, regions, salvage):
-        self.uid = uid
-        self.pickup = pickup
-        self.dropoff = dropoff
-        self.dist = _dist(pickup, dropoff)
-        self.expiry = expiry
-        self.lifetime = lifetime
-        self.org = regions.nearest(pickup)
-        self.dst = regions.nearest(dropoff)
-        # region-indexed singleton quality: constant part + approach leg
-        approach = np.hypot(
+    def __init__(self, n_regions: int, capacity: int = 64):
+        self.size = 0
+        self.pickup = np.empty((capacity, 2))
+        self.dropoff = np.empty((capacity, 2))
+        self.approach = np.empty((capacity, n_regions))  # centroid -> pickup miles
+        self.dist = np.empty(capacity)
+        self.expiry = np.empty(capacity, dtype=np.int64)
+        self.lifetime = np.empty(capacity, dtype=np.int64)
+        self.org = np.empty(capacity, dtype=np.int64)  # region nearest the pickup
+        self.dst = np.empty(capacity, dtype=np.int64)  # region nearest the dropoff
+        self.q = np.empty((capacity, n_regions))  # singleton quality
+        self.kappa = np.empty(capacity)
+        self.pbar = np.empty(capacity)
+
+    def add(self, pickup, dropoff, expiry: int, lifetime: int, regions: RegionModel) -> int:
+        if self.size == len(self.dist):
+            for name, arr in list(vars(self).items()):
+                if isinstance(arr, np.ndarray):
+                    setattr(self, name, np.concatenate([arr, np.empty_like(arr)]))
+        uid = self.size
+        self.size += 1
+        self.pickup[uid] = pickup
+        self.dropoff[uid] = dropoff
+        self.approach[uid] = np.hypot(
             regions.centroids[:, 0] - pickup[0], regions.centroids[:, 1] - pickup[1]
         )
-        self.q = (
+        self.dist[uid] = _dist(pickup, dropoff)
+        self.expiry[uid] = expiry
+        self.lifetime[uid] = lifetime
+        self.org[uid] = np.argmin(self.approach[uid])
+        self.dst[uid] = regions.nearest(dropoff)
+        return uid
+
+    def quality(self, first, last, coeffs: FreightCoeffs) -> np.ndarray:
+        """Utility intercepts, shape (k, R), of the options first[k] then
+        last[k] (first == last for a singleton); perceived_quality in
+        array form."""
+        pair = first != last
+        gap = self.pickup[last] - self.dropoff[first]
+        gap = np.where(pair, np.hypot(gap[:, 0], gap[:, 1]), 0.0)
+        loaded = np.where(pair, self.dist[first] + self.dist[last], self.dist[first])
+        return (
             coeffs.beta0
-            + coeffs.beta_d * self.dist
-            + coeffs.beta_e * approach
-            + coeffs.beta_org[self.org]
-            + coeffs.beta_dst[self.dst]
+            + coeffs.beta_d * loaded[:, None]
+            + coeffs.beta_e * (self.approach[first] + gap[:, None])
+            + coeffs.beta_b * pair[:, None]
+            + coeffs.beta_org[self.org[first]][:, None]
+            + coeffs.beta_dst[self.dst[last]][:, None]
         )
-        self.kappa = log_sum_exp(self.q, regions.arrival_pmf)
-        gam = lambert_w_exp(self.q + coeffs.beta_p * salvage - 1.0)
-        self.pbar = salvage - (1.0 + float(regions.arrival_pmf @ gam)) / coeffs.beta_p
-
-
-class _MenuOption:
-    __slots__ = ("loads", "q", "is_bundle")
-
-    def __init__(self, loads, coeffs, regions):
-        self.loads = loads
-        self.is_bundle = len(loads) > 1
-        if self.is_bundle:
-            a, b = loads
-            gap = _dist(a.dropoff, b.pickup)
-            approach = np.hypot(
-                regions.centroids[:, 0] - a.pickup[0],
-                regions.centroids[:, 1] - a.pickup[1],
-            )
-            self.q = (
-                coeffs.beta0
-                + coeffs.beta_d * (a.dist + b.dist)
-                + coeffs.beta_e * (approach + gap)
-                + coeffs.beta_b
-                + coeffs.beta_org[a.org]
-                + coeffs.beta_dst[b.dst]
-            )
-        else:
-            self.q = loads[0].q
 
 
 def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
@@ -518,92 +527,100 @@ def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
     raise ConfigError(f"unknown choice mode {mode!r}")
 
 
-def _greedy_pairs(loads, marginals, coeffs, regions, beta_p, max_bundles, region=None):
-    """Greedy partition of the active loads into singletons and ordered
-    pairs by expected acceptance weight at the estimated marginals."""
-    n = len(loads)
+def _expected_lse(values: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """log_sum_exp(row, pmf) of every row, with zero-weight regions ignored."""
+    live = pmf > 0
+    return weighted_lse_rows(values[:, live], pmf[live])
+
+
+def _greedy_pairs(loads: _Loads, uids, marginals, coeffs, pmf, max_bundles, region=None):
+    """Greedy partition of the active loads uids into singletons and ordered
+    pairs by expected acceptance weight at the estimated marginals. Ties go
+    to the singletons, then to the pairs in row-major order."""
+    n = len(uids)
     if n == 0:
         return []
-    options: list[tuple[float, int, tuple]] = []  # (-key, order, member idx)
-    order = 0
-    pmf = regions.arrival_pmf
-    for i, a in enumerate(loads):
-        key = (
-            log_sum_exp(a.q + beta_p * marginals[i], pmf)
-            if region is None
-            else a.q[region] + beta_p * marginals[i]
-        )
-        options.append((-key, order, (i,)))
-        order += 1
-    for i, a in enumerate(loads):
-        for j, b in enumerate(loads):
-            if i == j:
-                continue
-            gap = _dist(a.dropoff, b.pickup)
-            # pair quality: a's approach leg is already inside a.q
-            qpair = (
-                a.q
-                + coeffs.beta_d * b.dist
-                + coeffs.beta_e * gap
-                + coeffs.beta_b
-                + (coeffs.beta_dst[b.dst] - coeffs.beta_dst[a.dst])
-            )
-            dm = marginals[i] + marginals[j]
-            key = (
-                log_sum_exp(qpair + beta_p * dm, pmf)
-                if region is None
-                else qpair[region] + beta_p * dm
-            )
-            options.append((-key, order, (i, j)))
-            order += 1
-    options.sort()
-    used = set()
-    bundles = 0
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    first = np.concatenate([np.arange(n), ii])
+    last = np.concatenate([np.arange(n), jj])
+    dm = np.where(first != last, marginals[first] + marginals[last], marginals[first])
+    q = loads.quality(uids[first], uids[last], coeffs)
+    keys = (
+        _expected_lse(q + coeffs.beta_p * dm[:, None], pmf)
+        if region is None
+        else q[:, region] + coeffs.beta_p * dm
+    )
+    members = list(zip(first.tolist(), last.tolist()))
+    used = [False] * n
+    covered = bundles = 0
     chosen = []
     cap = math.inf if max_bundles is None else max_bundles
-    for negkey, _, members in options:
-        if used.intersection(members):
+    for k in np.argsort(-keys, kind="stable").tolist():
+        i, j = members[k]
+        if used[i] or used[j] or (i != j and bundles >= cap):
             continue
-        if len(members) > 1 and bundles >= cap:
-            continue
-        chosen.append(members)
-        used.update(members)
-        if len(members) > 1:
-            bundles += 1
-        if len(used) == n:
+        chosen.append((i, j) if i != j else (i,))
+        used[i] = used[j] = True
+        covered += 1 if i == j else 2
+        bundles += i != j
+        if covered == n:
             break
     return chosen
 
 
-def _empty_mile_pairs(loads, regions):
+def _empty_mile_pairs(loads: _Loads, uids, regions):
     from .bundling import min_empty_miles
 
     items = [
         Item(
             id=k,
-            freight=FreightItemData(pickup=l.pickup, dropoff=l.dropoff, expiration=max(l.lifetime, 1)),
+            freight=FreightItemData(
+                pickup=tuple(loads.pickup[u]),
+                dropoff=tuple(loads.dropoff[u]),
+                expiration=max(int(loads.lifetime[u]), 1),
+            ),
         )
-        for k, l in enumerate(loads)
+        for k, u in enumerate(uids)
     ]
-    ehat_dst = [float(regions.ehat[l.dst]) for l in loads]
+    ehat_dst = [float(regions.ehat[loads.dst[u]]) for u in uids]
     chosen = min_empty_miles(items, ehat_dst)
     return [o.items for o in chosen]
+
+
+def _cdf(pmf) -> np.ndarray:
+    """CDF for draws with cdf.searchsorted(rng.random(), side="right"),
+    which reproduces rng.choice(len(pmf), p=pmf) draw for draw."""
+    cdf = np.cumsum(np.asarray(pmf, dtype=float))
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionModel, seed: int):
     rng = np.random.default_rng(seed)
     sup = config.supply
-    pickup_pmf = regions.arrival_pmf if sup.pickup_pmf is None else np.asarray(sup.pickup_pmf)
-    dropoff_pmf = regions.arrival_pmf if sup.dropoff_pmf is None else np.asarray(sup.dropoff_pmf)
-    topk_pmf = (
-        truncated_geometric_pmf() if config.topk_pmf is None else config.topk_pmf
-    )
+    n_regions = regions.n_regions
+    pmf = regions.arrival_pmf
+    dropoff_pmf = pmf if sup.dropoff_pmf is None else np.asarray(sup.dropoff_pmf)
+    pickup_cdf = _cdf(pmf if sup.pickup_pmf is None else sup.pickup_pmf)
+    dropoff_cdfs = [_cdf(dropoff_pmf)] * n_regions
+    if sup.inter_region and n_regions > 1:
+        for org in range(n_regions):
+            w = dropoff_pmf.copy()
+            w[org] = 0.0
+            if w.sum() <= 0:  # dropoff mass concentrated on the origin
+                w = np.ones(n_regions)
+                w[org] = 0.0
+            dropoff_cdfs[org] = _cdf(w / w.sum())
+    arrival_cdf = _cdf(pmf)
+    topk_cdf = _cdf(truncated_geometric_pmf() if config.topk_pmf is None else config.topk_pmf)
     beta_p = coeffs.beta_p
     mu = config.arrival_prob
+    penalty_per_mile = config.salvage_multiplier * config.reference_cost_per_mile
+    personalized = config.framework == "personalized"
 
-    active: list[_Load] = []
-    options: list[_MenuOption] = []
-    uid = 0
+    loads = _Loads(n_regions)
+    active: list[int] = []  # uids, ascending
+    menu: list[tuple] = []  # options as tuples of uids; a partition of active
     cost = 0.0
     loaded_miles = 0.0
     empty_miles = 0.0
@@ -614,158 +631,116 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
     booked_miles = 0.0
     salvaged_miles = 0.0
 
-    def price_of_load(load: _Load, now: int) -> float:
-        t = load.lifetime - (load.expiry - now)
-        x = -(beta_p * load.pbar + load.kappa)
-        togo = config.alpha * mu * (load.lifetime - 1 - t)
-        inner = np.logaddexp(x, math.log(togo)) if togo > 0 else x
-        return float((-1.0 / beta_p) * (inner + load.kappa))
+    def load_prices(uids, now):
+        """Current trajectory prices and marginal values of the loads uids."""
+        togo = config.alpha * mu * (loads.expiry[uids] - now - 1)
+        price = _log_trajectory(loads.pbar[uids], loads.kappa[uids], togo, beta_p)
+        return price, load_marginal_value(price, loads.kappa[uids], beta_p)
 
-    def rebuild_options(now: int, region=None):
-        nonlocal options
+    def rebuild_menu(now, region=None):
         if not active:
-            options = []
-            return
-        marg = np.array(
-            [
-                load_marginal_value(price_of_load(l, now), l.kappa, beta_p)
-                for l in active
-            ]
-        )
+            return []
+        uids = np.array(active)
         if config.bundling == "greedy":
-            groups = _greedy_pairs(
-                active, marg, coeffs, regions, beta_p, config.max_bundles, region=region
-            )
+            marg = load_prices(uids, now)[1]
+            groups = _greedy_pairs(loads, uids, marg, coeffs, pmf, config.max_bundles, region)
         else:
-            groups = _empty_mile_pairs(active, regions)
-        options = [
-            _MenuOption(tuple(active[i] for i in g), coeffs, regions) for g in groups
-        ]
+            groups = _empty_mile_pairs(loads, uids, regions)
+        return [tuple(active[i] for i in g) for g in groups]
 
     def drop_loads(gone: set):
-        nonlocal options
-        survivors = []
-        for opt in options:
-            hit = [l for l in opt.loads if l.uid in gone]
-            if not hit:
-                survivors.append(opt)
-                continue
-            for l in opt.loads:
-                if l.uid not in gone:
-                    survivors.append(_MenuOption((l,), coeffs, regions))
-        options = survivors
+        """Remove the loads gone; a bundle that loses one member leaves the
+        other as a singleton in its place."""
+        nonlocal active, menu
+        active = [u for u in active if u not in gone]
+        if not personalized:
+            kept = []
+            for opt in menu:
+                if gone.isdisjoint(opt):
+                    kept.append(opt)
+                else:
+                    kept.extend((u,) for u in opt if u not in gone)
+            menu = kept
 
     for now in range(1, config.horizon_periods + 1):
         # (a) supply
         n_new = rng.poisson(sup.rate)
         for _ in range(n_new):
-            org = rng.choice(regions.n_regions, p=pickup_pmf)
-            if sup.inter_region and regions.n_regions > 1:
-                w = dropoff_pmf.copy()
-                w[org] = 0.0
-                if w.sum() <= 0:  # dropoff mass concentrated on the origin
-                    w = np.ones(regions.n_regions)
-                    w[org] = 0.0
-                dst = rng.choice(regions.n_regions, p=w / w.sum())
-            else:
-                dst = rng.choice(regions.n_regions, p=dropoff_pmf)
-            pickup = tuple(regions.centroids[org] + sup.scatter * rng.standard_normal(2))
-            dropoff = tuple(regions.centroids[dst] + sup.scatter * rng.standard_normal(2))
+            org = int(pickup_cdf.searchsorted(rng.random(), side="right"))
+            dst = int(dropoff_cdfs[org].searchsorted(rng.random(), side="right"))
+            pickup = regions.centroids[org] + sup.scatter * rng.standard_normal(2)
+            dropoff = regions.centroids[dst] + sup.scatter * rng.standard_normal(2)
             life = int(rng.integers(sup.lifetime[0], sup.lifetime[1] + 1))
-            load = _Load(
-                uid,
-                pickup,
-                dropoff,
-                expiry=now + life,
-                lifetime=life,
-                coeffs=coeffs,
-                regions=regions,
-                salvage=config.salvage_multiplier
-                * config.reference_cost_per_mile
-                * _dist(pickup, dropoff),
-            )
-            uid += 1
-            active.append(load)
-            if config.framework != "personalized":
-                options.append(_MenuOption((load,), coeffs, regions))
+            uid = loads.add(pickup, dropoff, now + life, life, regions)
+            active.append(uid)
+            if not personalized:
+                menu.append((uid,))
+        if n_new:
+            new = np.arange(loads.size - n_new, loads.size)
+            q = loads.q[new] = loads.quality(new, new, coeffs)
+            loads.kappa[new] = _expected_lse(q, pmf)
+            loads.pbar[new] = _closed_form_price(q, penalty_per_mile * loads.dist[new], beta_p, pmf)
 
         # (b) expirations
-        expired = [l for l in active if l.expiry <= now]
+        expired = [u for u in active if loads.expiry[u] <= now]
+        for u in expired:
+            penalty = penalty_per_mile * loads.dist[u]
+            cost += penalty
+            penalty_paid += penalty
+            loaded_miles += loads.dist[u]
+            salvaged_miles += loads.dist[u]
+            empty_miles += loads.approach[u, loads.org[u]]
+            salvaged += 1
         if expired:
-            gone = {l.uid for l in expired}
-            for l in expired:
-                penalty = config.salvage_multiplier * config.reference_cost_per_mile * l.dist
-                cost += penalty
-                penalty_paid += penalty
-                loaded_miles += l.dist
-                salvaged_miles += l.dist
-                empty_miles += _dist(regions.centroids[l.org], l.pickup)
-                salvaged += 1
-            active = [l for l in active if l.uid not in gone]
-            if config.framework != "personalized":
-                drop_loads(gone)
+            drop_loads(set(expired))
 
         # (b') rolling recompute
-        if (
-            config.framework == "rolling_horizon"
-            and (now - 1) % config.rolling_period == 0
-        ):
-            rebuild_options(now)
+        if config.framework == "rolling_horizon" and (now - 1) % config.rolling_period == 0:
+            menu = rebuild_menu(now)
 
         # (c) carrier arrival
         if rng.random() >= mu:
             continue
-        region = int(rng.choice(regions.n_regions, p=regions.arrival_pmf))
-        if config.framework == "personalized":
-            rebuild_options(now, region=region)
-        if not options:
+        region = int(arrival_cdf.searchsorted(rng.random(), side="right"))
+        if personalized:
+            menu = rebuild_menu(now, region=region)
+        if not menu:
             continue
-        menu = options
-        prices = np.empty(len(menu))
-        margins = np.empty(len(menu))
-        for k, opt in enumerate(menu):
-            member_prices = [price_of_load(l, now) for l in opt.loads]
-            member_marg = [
-                load_marginal_value(p, l.kappa, beta_p)
-                for p, l in zip(member_prices, opt.loads)
-            ]
-            margins[k] = sum(member_marg)
-            if not opt.is_bundle:
-                prices[k] = member_prices[0]
-            elif config.pricing == "linear":
-                prices[k] = sum(member_prices)
+        # price every option on the menu in one pass
+        m = len(menu)
+        first = np.array([opt[0] for opt in menu])
+        last = np.array([opt[-1] for opt in menu])
+        pair = first != last
+        price, marg = load_prices(np.concatenate([first, last]), now)
+        margins = np.where(pair, marg[:m] + marg[m:], marg[:m])
+        prices = price[:m].copy()
+        q = loads.q[first]
+        if pair.any():
+            q[pair] = loads.quality(first[pair], last[pair], coeffs)
+            if config.pricing == "linear":
+                prices[pair] += price[m:][pair]
             else:
-                delta_b = margins[k]
-                gam = lambert_w_exp(opt.q + beta_p * delta_b - 1.0)
-                prices[k] = delta_b - (1.0 + float(regions.arrival_pmf @ gam)) / beta_p
-        rank = np.array([opt.q[region] for opt in menu]) + beta_p * margins
-        order = np.argsort(-rank, kind="stable")
-        k_obs = int(rng.choice(len(topk_pmf), p=topk_pmf))
-        shown = order[: min(k_obs, len(order))]
+                prices[pair] = _closed_form_price(q[pair], margins[pair], beta_p, pmf)
+        order = np.argsort(-(q[:, region] + beta_p * margins), kind="stable")
+        k_obs = int(topk_cdf.searchsorted(rng.random(), side="right"))
+        shown = order[:k_obs]
         if shown.size == 0:
             continue
-        utilities = np.array(
-            [menu[j].q[region] + beta_p * prices[j] for j in shown]
-        )
-        pick = sample_choice(rng, utilities, config.choice_mode)
+        pick = sample_choice(rng, q[shown, region] + beta_p * prices[shown], config.choice_mode)
         if pick < 0:
             continue
         j = int(shown[pick])
         opt = menu[j]
         cost += prices[j]
         price_paid += prices[j]
-        first = opt.loads[0]
-        empty_miles += _dist(regions.centroids[region], first.pickup)
-        for a, b in zip(opt.loads[:-1], opt.loads[1:]):
-            empty_miles += _dist(a.dropoff, b.pickup)
-        for l in opt.loads:
-            loaded_miles += l.dist
-            booked_miles += l.dist
+        empty_miles += loads.approach[opt[0], region]
+        if len(opt) > 1:
+            empty_miles += _dist(loads.dropoff[opt[0]], loads.pickup[opt[1]])
+        for u in opt:
+            loaded_miles += loads.dist[u]
+            booked_miles += loads.dist[u]
             booked += 1
-        gone = {l.uid for l in opt.loads}
-        active = [l for l in active if l.uid not in gone]
-        if config.framework != "personalized":
-            drop_loads(gone)
+        drop_loads(set(opt))
 
     resolved = booked + salvaged
     return {

@@ -121,6 +121,29 @@ class TestOutputs:
         assert code == 1
         assert err.startswith("error: ") and "missing key 'pmf'" in err
 
+    @pytest.mark.parametrize("flag", ["--coeffs", "--regions"])
+    @pytest.mark.parametrize("doc, needle", [
+        ({"beta0": 1.0}, "missing key"),
+        (None, "line 1 column"),  # truncated file: malformed JSON
+    ])
+    def test_bad_coeff_or_region_file_is_an_error(self, tmp_path, capsys, flag, doc, needle):
+        from uip.freight import demo_coeffs, demo_regions
+
+        if doc is None:
+            full = (demo_coeffs() if flag == "--coeffs" else demo_regions()).to_dict()
+            text = json.dumps(full)[:40]
+        else:
+            text = json.dumps(doc)
+        (tmp_path / "bad.json").write_text(text)
+        cfg = {"supply": {"rate": 0.2, "lifetime": [10, 20]},
+               "horizon_periods": 20, "seed": 2, "replications": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _ = run(tmp_path, "simulate", "--config", str(tmp_path / "cfg.json"),
+                      flag, str(tmp_path / "bad.json"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and needle in err and "bad.json" in err
+
     def test_simulate_with_coeff_and_region_files(self, tmp_path):
         from uip.freight import demo_coeffs, demo_regions
 

@@ -26,6 +26,7 @@ from uip.freight import (
     splitmix64,
     truncated_geometric_pmf,
 )
+from uip.freight import _greedy_pairs, _Loads
 from uip.model import FreightItemData, Item
 from uip.numerics import lambert_w0, lambert_w_exp
 
@@ -199,6 +200,49 @@ class TestBundlePrice:
         ld = centroid_load()
         assert (bundle_price([ld], [0], [1.0], "custom", c_hi, one_region())
                 > bundle_price([ld], [0], [1.0], "custom", c_lo, one_region()))
+
+
+class TestSimulatorArrays:
+    def test_load_table_quality_is_perceived_quality(self):
+        regions, c = demo_regions(), demo_coeffs()
+        rng = np.random.default_rng(4)
+        loads = _Loads(regions.n_regions)
+        for _ in range(70):  # past the initial capacity, so the table grows
+            loads.add(rng.uniform(-20, 200, 2), rng.uniform(-20, 200, 2), 10, 10, regions)
+        items = [Item(u, freight=FreightItemData(tuple(loads.pickup[u]),
+                                                 tuple(loads.dropoff[u]), 10))
+                 for u in range(loads.size)]
+        first, last = np.array([3, 3, 66, 0]), np.array([3, 66, 3, 69])
+        q = loads.quality(first, last, c)
+        for k, (a, b) in enumerate(zip(first, last)):
+            members = [items[a]] if a == b else [items[a], items[b]]
+            np.testing.assert_allclose(q[k], quality_vector(members, c, regions), rtol=1e-12)
+
+    def test_array_pricing_matches_scalar(self):
+        ld = Item(0, salvage=300.0, freight=FreightItemData((0.0, 0.0), (100.0, 0.0), 10))
+        c, regions = demo_coeffs(), demo_regions()
+        pbar = expiration_price(ld, c, regions)
+        kappa = singleton_kappa(ld, c, regions)
+        prices = np.array([log_price(ld, t, pbar, kappa, 0.3, c, mu=0.6) for t in range(10)])
+        marg = load_marginal_value(prices, kappa, c.beta_p)
+        assert marg.shape == (10,)
+        for p, m in zip(prices, marg):
+            assert load_marginal_value(float(p), kappa, c.beta_p) == m
+
+    def test_greedy_tie_break_prefers_singletons_then_row_major_pairs(self):
+        regions = demo_regions()
+        c = zeroish_coeffs(beta_p=1.0, n=4)
+        loads = _Loads(regions.n_regions)
+        for _ in range(3):
+            loads.add(np.zeros(2), np.zeros(2), 10, 10, regions)
+        uids = np.arange(3)
+        pmf = regions.arrival_pmf
+        # every key equal: the singletons, in order
+        assert _greedy_pairs(loads, uids, np.zeros(3), c, pmf, None) == [(0,), (1,), (2,)]
+        # every pair beats every singleton, and the pairs tie: (0, 1) first
+        assert _greedy_pairs(loads, uids, np.ones(3), c, pmf, None) == [(0, 1), (2,)]
+        assert _greedy_pairs(loads, uids, np.ones(3), c, pmf, None, region=2) == [(0, 1), (2,)]
+        assert _greedy_pairs(loads, uids, np.ones(3), c, pmf, 0) == [(0,), (1,), (2,)]
 
 
 class TestChoiceSampling:

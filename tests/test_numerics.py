@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uip.errors import DomainError
-from uip.numerics import NumericTolerances, lambert_w0, lambert_w_exp, log_sum_exp
+import uip.numerics
+from uip.numerics import (
+    _W_SMALL_MAX,
+    NumericTolerances,
+    lambert_w0,
+    lambert_w_exp,
+    log_sum_exp,
+)
 
 
 def bisect_w(z, lo=-1.0, hi=None, iters=200):
@@ -90,6 +97,47 @@ def test_w_exp_increasing_and_nonexpansive():
 def test_w_exp_rejects_nonfinite():
     with pytest.raises(DomainError):
         lambert_w_exp(np.inf)
+
+
+@pytest.fixture
+def wrightomega_calls(monkeypatch):
+    """Count the calls lambert_w_exp makes to scipy's wrightomega."""
+    calls = []
+    real = uip.numerics.wrightomega
+
+    def counted(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(uip.numerics, "wrightomega", counted)
+    return calls
+
+
+def test_w_exp_small_and_large_paths_agree(wrightomega_calls):
+    # the same points through wrightomega (arrays at and below the crossover)
+    # and through the Newton loop (one element above it)
+    x = np.random.default_rng(3).uniform(-8.0, 50.0, _W_SMALL_MAX + 1)
+    small = np.concatenate([lambert_w_exp(x[:-1]), lambert_w_exp(x[-1:])])
+    assert wrightomega_calls == [_W_SMALL_MAX, 1]
+    large = lambert_w_exp(x)
+    assert wrightomega_calls == [_W_SMALL_MAX, 1]
+    assert np.max(np.abs(small - large) / large) <= 1e-14
+
+
+def test_w_exp_small_path_increasing_and_nonexpansive(wrightomega_calls):
+    x = np.linspace(-30.0, 30.0, 100_000)
+    g = np.concatenate([lambert_w_exp(c) for c in np.array_split(x, 100)])
+    assert len(wrightomega_calls) == 100
+    assert np.all(np.diff(g) > 0)
+    assert np.all(np.diff(g) <= np.diff(x) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("size", [None, 3, _W_SMALL_MAX + 1])
+def test_w_exp_both_paths_reject_nonfinite(bad, size):
+    x = bad if size is None else np.concatenate([np.zeros(size - 1), [bad]])
+    with pytest.raises(DomainError):
+        lambert_w_exp(x)
 
 
 def test_log_sum_exp_examples():
