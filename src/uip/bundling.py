@@ -134,6 +134,17 @@ class _SetEvaluator:
         return val
 
 
+# Scores and DFA values this close (relative) count as tied: permutations of
+# one bundle differ only by rounding, and a tie goes to the lowest pool index
+# (column selection) or the fewest bundles, then smallest encoding (ranking).
+_TIE_RTOL = 1e-12
+
+
+def _tied_with_best(values: np.ndarray) -> np.ndarray:
+    best = float(np.max(values))
+    return values >= best - _TIE_RTOL * max(1.0, abs(best))
+
+
 def column_generation(
     instance: MarketInstance,
     config: ColumnGenConfig = ColumnGenConfig(),
@@ -148,8 +159,9 @@ def column_generation(
     individual upper bound for the DFA of the candidate's completed set.
     Accepted columns get their exact DFA improvement as master reward.
     Finally the binary problem is solved for the top n_eval partitions,
-    whose DFA values decide the returned set (ties prefer fewer bundles,
-    then the lexicographically smallest encoding).
+    whose DFA values decide the returned set (values within 1e-12 relative
+    of the best tie; ties prefer fewer bundles, then the lexicographically
+    smallest encoding).
     """
     pool = enumerate_options(instance, cap=option_cap)
     ev = _SetEvaluator(instance, pool)
@@ -173,9 +185,15 @@ def column_generation(
     )
     base_score = vu_si - dfa_s0
 
+    # item incidence of the bundle candidates, columns in dual (item_ids) order
+    item_pos = {l: k for k, l in enumerate(item_ids)}
+    incidence = np.zeros((bundle_idx.size, len(item_ids)))
+    for r, j in enumerate(bundle_idx):
+        incidence[r, [item_pos[l] for l in pool[j].items]] = 1.0
+    cand_mask = np.ones(bundle_idx.size, dtype=bool)
+
     columns = [j for j in singleton_idx]
     rewards = [0.0] * len(columns)
-    in_pool = set(columns)
     warm = None
 
     while True:
@@ -185,18 +203,12 @@ def column_generation(
         sol = simplex_solve(lp, warm_basis=warm)
         warm = sol.basis
         master_obj = sol.objective
-        mu_l = {l: sol.duals[k] for k, l in enumerate(item_ids)}
-        mu_ks = sol.duals[len(item_ids)]
 
-        cand_mask = np.array([j not in in_pool for j in bundle_idx])
         if not np.any(cand_mask):
             break
-        dual_cost = np.array(
-            [sum(mu_l[l] for l in pool[j].items) + mu_ks for j in bundle_idx]
-        )
-        scores = base_score - dual_cost
-        scores[~cand_mask] = -np.inf
-        j_rel = int(np.argmax(scores))
+        dual_cost = incidence @ sol.duals[: len(item_ids)] + sol.duals[len(item_ids)]
+        scores = np.where(cand_mask, base_score - dual_cost, -np.inf)
+        j_rel = int(np.flatnonzero(_tied_with_best(scores))[0])
         score = float(scores[j_rel])
         if score <= 0:
             break
@@ -214,7 +226,7 @@ def column_generation(
         )
         columns.append(j_star)
         rewards.append(improvement)
-        in_pool.add(j_star)
+        cand_mask[j_rel] = False
         if len(columns) >= len(item_ids) + config.n_gen:
             break
 
@@ -231,7 +243,7 @@ def column_generation(
         candidates.append(s0_indices)
 
     seen = set()
-    best = None  # (value, bundle_count, canonical, indices)
+    ranked = []  # (value, bundle_count, canonical, indices)
     for idx in candidates:
         opt_set = ev.set_of(idx)
         key = opt_set.canonical()
@@ -240,10 +252,9 @@ def column_generation(
         seen.add(key)
         val = ev.dfa_canonical(idx)
         trace.evaluated_sets.append((opt_set, ev.sign * val))
-        rankkey = (-val, opt_set.bundle_count, key)
-        if best is None or rankkey < best[0]:
-            best = (rankkey, idx)
-    idx = best[1]
+        ranked.append((val, opt_set.bundle_count, key, idx))
+    tied = _tied_with_best(np.array([r[0] for r in ranked]))
+    idx = min((r for r, t in zip(ranked, tied) if t), key=lambda r: r[1:3])[3]
     final_set = ev.set_of(idx)
     tau = ev.tau[:, list(idx)]
     xi = instance.salvage_vector(final_set.options)

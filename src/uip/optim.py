@@ -3,12 +3,14 @@
 The simplex is a two-phase dense tableau used to locate an optimal basis;
 the reported solution is then recomputed from that basis against the
 original data with a fresh linear solve, which keeps primal/dual residuals
-near machine precision at the sizes this library needs (master problems of
-a few hundred columns, Frank-Wolfe oracles of a few dozen variables).
+near machine precision at the sizes this library needs (column-generation
+masters and branch-and-bound nodes of a few hundred columns and a few dozen
+rows). A warm basis is re-entered through the primal simplex when it is
+primal feasible and through the dual simplex when it is only dual feasible.
 
 The MILP solver is intentionally narrow: binary set-partitioning problems
 with a cardinality row and optional no-good cuts, solved best-first on the
-LP relaxation.
+LP relaxation, each node re-solved from its parent's basis.
 """
 
 from __future__ import annotations
@@ -167,6 +169,47 @@ def _run_simplex(tab, basis, cost, allowed, max_iter=50_000):
     raise NumericalFailure("simplex iteration limit reached")
 
 
+def _run_dual_simplex(tab, basis, cost, allowed, max_iter=50_000):
+    """Restore primal feasibility of a dual-feasible tableau in place. The
+    leaving row has the most negative rhs; the entering column wins the
+    dual ratio test over allowed columns. Switches to Bland's rule after a
+    long degenerate run. Returns 'feasible' or 'infeasible' (a row whose
+    rhs is negative while no allowed entry is)."""
+    degenerate = 0
+    bland = False
+    for _ in range(max_iter):
+        rhs = tab[:, -1]
+        if bland:
+            short = np.flatnonzero(rhs < -1e-9)
+            if not short.size:
+                return "feasible"
+            row = int(min(short, key=lambda r: basis[r]))
+        else:
+            row = int(np.argmin(rhs))
+            if rhs[row] >= -1e-9:
+                return "feasible"
+        rowvals = tab[row, :-1]
+        neg = allowed & (rowvals < -_PIVOT_TOL)
+        if not np.any(neg):
+            return "infeasible"
+        ratios = np.full(rowvals.size, np.inf)
+        ratios[neg] = cost[:-1][neg] / rowvals[neg]
+        best = float(np.min(ratios))
+        if bland:
+            col = int(np.flatnonzero(ratios <= best + 1e-12)[0])
+        else:
+            col = int(np.argmin(ratios))
+        if best < 1e-12:
+            degenerate += 1
+            if degenerate >= _BLAND_AFTER:
+                bland = True
+        else:
+            degenerate = 0
+        _pivot(tab, basis, row, col)
+        cost -= cost[col] * tab[row]
+    raise NumericalFailure("dual simplex iteration limit reached")
+
+
 def _encode_basis(basis, n, slack_rows):
     token = []
     for j in basis:
@@ -196,9 +239,47 @@ def _decode_basis(token, n, slack_rows):
     return out
 
 
+def _phase2_cost(tab, basis, c, n, n_slack):
+    """The objective row priced out against the tableau's basis, and the
+    columns phase 2 may enter (structurals and slacks, not artificials)."""
+    cost = np.zeros(tab.shape[1])
+    cost[:n] = c
+    for r, j in enumerate(basis):
+        if abs(cost[j]) > 0:
+            cost -= cost[j] * tab[r]
+    allowed = np.zeros(tab.shape[1] - 1, dtype=bool)
+    allowed[: n + n_slack] = True
+    return cost, allowed
+
+
+def _solve_warm(M, b, c, n, n_slack, basis):
+    """Re-enter the simplex from a decoded warm basis over the columns of M:
+    the primal simplex if the basis is primal feasible, the dual simplex
+    first if it is only dual feasible. None means solve cold."""
+    m = M.shape[0]
+    if basis is None or len(basis) != m or len(set(basis)) != m:
+        return None
+    try:
+        binv = np.linalg.inv(M[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    tab = np.hstack([binv @ M, (binv @ b)[:, None]])
+    basis = list(basis)
+    cost, allowed = _phase2_cost(tab, basis, c, n, n_slack)
+    if not np.all(tab[:, -1] >= -1e-9):
+        if not np.all(cost[:-1][allowed] <= 1e-9):
+            return None
+        if _run_dual_simplex(tab, basis, cost, allowed) == "infeasible":
+            return "infeasible", None
+    np.maximum(tab[:, -1], 0.0, out=tab[:, -1])
+    status = _run_simplex(tab, basis, cost, allowed)
+    return status, (basis if status == "optimal" else None)
+
+
 def _solve_canonical(A, rels, b, c, warm_token=None):
-    """Two-phase tableau simplex. Returns (status, basis) with basis indices
-    into the columns of [A | slacks | artificials]."""
+    """Two-phase tableau simplex, or a warm re-entry (_solve_warm). Returns
+    (status, basis) with basis indices into the columns of
+    [A | slacks | artificials]."""
     m, n = A.shape
     slack_rows = [i for i, r in enumerate(rels) if r == LE]
     n_slack = len(slack_rows)
@@ -210,28 +291,9 @@ def _solve_canonical(A, rels, b, c, warm_token=None):
         M[i, n + n_slack + i] = 1.0
 
     if warm_token is not None and m > 0:
-        basis = _decode_basis(warm_token, n, slack_rows)
-        if basis is not None and len(basis) == m and len(set(basis)) == m:
-            B = M[:, basis]
-            try:
-                binv = np.linalg.inv(B)
-                xb = binv @ b
-            except np.linalg.LinAlgError:
-                xb = None
-            if xb is not None and np.all(xb >= -1e-9):
-                tab = np.hstack([binv @ M, np.maximum(xb, 0.0)[:, None]])
-                cost = np.zeros(tab.shape[1])
-                cost[:n] = c
-                basis = list(basis)
-                for r, j in enumerate(basis):
-                    if abs(cost[j]) > 0:
-                        cost -= cost[j] * tab[r]
-                allowed = np.zeros(n + n_slack + m, dtype=bool)
-                allowed[: n + n_slack] = True
-                status = _run_simplex(tab, basis, cost, allowed)
-                if status != "optimal":
-                    return status, None
-                return "optimal", basis
+        warm = _solve_warm(M, b, c, n, n_slack, _decode_basis(warm_token, n, slack_rows))
+        if warm is not None:
+            return warm
 
     # phase 1: artificial basis over rows with nonnegative rhs
     sign = np.where(b < 0, -1.0, 1.0)
@@ -251,13 +313,7 @@ def _solve_canonical(A, rels, b, c, warm_token=None):
             if nz.size:
                 _pivot(tab, basis, r, int(nz[0]))
 
-    cost = np.zeros(tab.shape[1])
-    cost[:n] = c
-    for r, j in enumerate(basis):
-        if abs(cost[j]) > 0:
-            cost -= cost[j] * tab[r]
-    allowed = np.zeros(n + n_slack + m, dtype=bool)
-    allowed[: n + n_slack] = True
+    cost, allowed = _phase2_cost(tab, basis, c, n, n_slack)
     status = _run_simplex(tab, basis, cost, allowed)
     if status != "optimal":
         return status, None
@@ -288,7 +344,19 @@ def _recompute_from_basis(A, rels, b, c, basis):
 def simplex_solve(lp: LinearProgram, warm_basis=None) -> LpSolution:
     """Solve a dense LP. The returned primal/dual pair satisfies feasibility,
     complementary slackness, and strong duality to tight tolerances
-    (NumericalFailure beyond 1e-7)."""
+    (NumericalFailure beyond 1e-7).
+
+    warm_basis is the `basis` token of an earlier solution, possibly
+    extended for constraints appended since: ("s", k) makes the slack of
+    constraint k basic. (Rows for finite variable upper bounds follow the
+    constraints, so appending shifts them; extend only bound-free LPs.) A
+    basis that is primal feasible for this LP continues with the primal
+    simplex (e.g. after adding columns); one that is primal infeasible but
+    dual feasible (e.g. after adding a row the old optimum violates) runs
+    the dual simplex first; any other token, or one that no longer fits
+    the LP, is ignored and the LP is solved cold. The certificate check is
+    the same on every path.
+    """
     n = lp.objective.size
     if n > 5000 or len(lp.constraints) > 2000:
         raise ValueError("problem exceeds the dense-solver size cap")
@@ -470,6 +538,13 @@ def _assignment_satisfies_cuts(z: np.ndarray, cuts) -> bool:
     return True
 
 
+def _branch_row(n: int, j: int, v: int):
+    """x_j <= 0 for the 0-branch, x_j >= 1 for the 1-branch."""
+    e = np.zeros(n)
+    e[j] = 1.0
+    return (e, LE, 0.0) if v == 0 else (e, GE, 1.0)
+
+
 def bnb_solve(
     milp: SetPartitionMilp, cuts=(), integrality_tol: float = 1e-6
 ) -> tuple[np.ndarray, float]:
@@ -477,8 +552,11 @@ def bnb_solve(
 
     Nodes are ordered by LP relaxation bound (ties by creation index);
     branching fixes the most fractional variable (ties by lowest option
-    index). The incumbent is seeded with the all-singletons partition when
-    available so ties resolve toward not bundling.
+    index). A fixing is a row appended to the root LP, x_j <= 0 or
+    x_j >= 1, so a child differs from its parent by one row and is
+    re-solved by the dual simplex from the parent's optimal basis; the
+    root is solved cold. The incumbent is seeded with the all-singletons
+    partition when available so ties resolve toward not bundling.
     """
     if len(milp.item_ids) > 64:
         raise ValueError("item count exceeds the 64-item cap")
@@ -490,20 +568,18 @@ def bnb_solve(
         incumbent = z0
         incumbent_obj = float(milp.rewards @ z0)
 
+    base = milp.base_lp(cuts)
     heap: list = []
     counter = 0
-    heapq.heappush(heap, (-np.inf, counter, {}))
+    heapq.heappush(heap, (-np.inf, counter, (), None))
     while heap:
-        neg_bound, _, fixed = heapq.heappop(heap)
+        neg_bound, _, fixings, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + 1e-9 and math.isfinite(neg_bound):
             continue
-        lp = milp.base_lp(cuts)
-        bounds = []
-        for j in range(n):
-            v = fixed.get(j)
-            bounds.append((0.0, None) if v is None else (float(v), float(v)))
-        lp.bounds = bounds
-        sol = simplex_solve(lp)
+        lp = LinearProgram(
+            base.objective, base.constraints + [_branch_row(n, j, v) for j, v in fixings]
+        )
+        sol = simplex_solve(lp, warm_basis=warm)
         if sol.status != "optimal":
             continue
         bound = sol.objective
@@ -521,11 +597,10 @@ def bnb_solve(
         # most fractional, ties by lowest option index
         best_frac = frac[j_star]
         j_star = int(np.flatnonzero(frac >= best_frac - 1e-12)[0])
+        child_basis = sol.basis + (("s", len(lp.constraints)),)
         for v in (0, 1):
-            child = dict(fixed)
-            child[j_star] = v
             counter += 1
-            heapq.heappush(heap, (-bound, counter, child))
+            heapq.heappush(heap, (-bound, counter, fixings + ((j_star, v),), child_basis))
     if incumbent is None:
         raise Infeasible("no feasible partition exists")
     return incumbent, incumbent_obj

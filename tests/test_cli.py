@@ -74,6 +74,14 @@ class TestOutputs:
         covered = sorted(i for o in doc["options"] for i in o)
         assert covered == [0, 1, 2, 3]
 
+    def test_bundle_member_order_is_not_rounding_noise(self, tmp_path):
+        # (0, 2, 4) and (0, 4, 2) score equal up to rounding; the tie goes to
+        # the lower pool index, whatever the last bits of the numerics
+        code, text = run(tmp_path, "bundle", "--L", "8", "--lambda", "8",
+                         "--beta", "2", "--kb", "3", "--ks", "3", "--scenario", "C")
+        assert code == 0
+        assert [0, 2, 4] in json.loads(text)["options"]
+
     def test_greedy_json_schema(self, tmp_path):
         code, text = run(tmp_path, "greedy", "--L", "4", "--lambda", "2",
                          "--scenario", "B", "--beta", "2", "--kb", "2", "--ks", "2")

@@ -115,13 +115,17 @@ def wrightomega_calls(monkeypatch):
 
 def test_w_exp_small_and_large_paths_agree(wrightomega_calls):
     # the same points through wrightomega (arrays at and below the crossover)
-    # and through the Newton loop (one element above it)
-    x = np.random.default_rng(3).uniform(-8.0, 50.0, _W_SMALL_MAX + 1)
-    small = np.concatenate([lambert_w_exp(x[:-1]), lambert_w_exp(x[-1:])])
-    assert wrightomega_calls == [_W_SMALL_MAX, 1]
-    large = lambert_w_exp(x)
-    assert wrightomega_calls == [_W_SMALL_MAX, 1]
-    assert np.max(np.abs(small - large) / large) <= 1e-14
+    # and through the Newton loop (one element above it). An array entirely
+    # below -10 makes Newton's absolute residual test pass early, so it gets
+    # its own case.
+    for lo, hi, rtol in ((-8.0, 50.0, 1e-14), (-50.0, -10.0, 5e-15)):
+        wrightomega_calls.clear()
+        x = np.random.default_rng(3).uniform(lo, hi, _W_SMALL_MAX + 1)
+        small = np.concatenate([lambert_w_exp(x[:-1]), lambert_w_exp(x[-1:])])
+        assert wrightomega_calls == [_W_SMALL_MAX, 1]
+        large = lambert_w_exp(x)
+        assert wrightomega_calls == [_W_SMALL_MAX, 1]
+        assert np.max(np.abs(small - large) / large) <= rtol
 
 
 def test_w_exp_small_path_increasing_and_nonexpansive(wrightomega_calls):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import uip.optim
 from uip.errors import Infeasible
 from uip.model import BundleOption, generate_synthetic
 from uip.optim import (
@@ -142,6 +143,59 @@ class TestSimplex:
         warm = simplex_solve(lp2, warm_basis=sol.basis)
         cold = simplex_solve(lp2)
         assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+
+    def test_dual_warm_start_after_one_added_row(self, monkeypatch):
+        # No finite variable bounds: their canonical rows would come after
+        # the appended row and shift its index.
+        dual_runs = []
+        real = uip.optim._run_dual_simplex
+
+        def counted(*args):
+            dual_runs.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(uip.optim, "_run_dual_simplex", counted)
+        rng = np.random.default_rng(7)
+        statuses = []
+        for _ in range(120):
+            n = int(rng.integers(3, 8))
+            rows = [
+                (rng.uniform(0.1, 1.0, n), LE, float(rng.uniform(1.0, 3.0)))
+                for _ in range(rng.integers(2, 5))
+            ]
+            if rng.random() < 0.5:
+                rows.append((rng.uniform(0.1, 1.0, n), EQ, float(rng.uniform(0.5, 1.5))))
+            lp = LinearProgram(rng.uniform(-0.2, 1.0, n), rows)
+            parent = simplex_solve(lp)
+            if parent.status != "optimal":
+                continue
+            x = parent.primal
+            frac = np.flatnonzero(np.abs(x - np.round(x)) > 1e-6)
+            if frac.size and rng.random() < 0.7:  # branch on a fractional coordinate
+                j = int(frac[0])
+                e = np.zeros(n)
+                e[j] = 1.0
+                if rng.random() < 0.5:
+                    row = (e, LE, float(np.floor(x[j])))
+                else:
+                    row = (e, GE, float(np.ceil(x[j])))
+            else:  # a cut the parent optimum violates
+                a = rng.uniform(0.1, 1.0, n)
+                if a @ x < 1e-6:
+                    continue
+                row = (a, LE, 0.8 * float(a @ x))
+            child = LinearProgram(lp.objective, lp.constraints + [row])
+            warm = simplex_solve(
+                child, warm_basis=parent.basis + (("s", len(lp.constraints)),)
+            )
+            cold = simplex_solve(child)
+            assert warm.status == cold.status
+            statuses.append(cold.status)
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
+                assert max(warm.residuals.values()) <= 1e-9
+        assert set(statuses) == {"optimal", "infeasible"}
+        assert len(dual_runs) == len(statuses)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
