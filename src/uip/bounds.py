@@ -61,15 +61,21 @@ class PriceTrajectory:
         return self.prices.shape[0]
 
 
-def check_monotone(prices: np.ndarray, salvages: np.ndarray, beta_p: float) -> bool:
-    """Canonical monotonicity: s*tau_t >= s*tau_{t-1} >= ... >= s*xi."""
+def monotone_columns(prices: np.ndarray, salvages: np.ndarray, beta_p: float) -> np.ndarray:
+    """Canonical monotonicity per option: column i of a (T, N) trajectory
+    passes iff s*tau_{T,i} >= ... >= s*tau_{1,i} >= s*xi_i (within 1e-12)."""
     s = canonical_sign(beta_p)
     p = s * np.asarray(prices, dtype=float)
     if p.shape[0] == 0:
-        return True
-    if np.any(p[0] < s * np.asarray(salvages) - 1e-12):
-        return False
-    return bool(np.all(p[1:] >= p[:-1] - 1e-12))
+        return np.ones(p.shape[1], dtype=bool)
+    ok = p[0] >= s * np.asarray(salvages) - 1e-12
+    return ok & np.all(p[1:] >= p[:-1] - 1e-12, axis=0)
+
+
+def check_monotone(prices: np.ndarray, salvages: np.ndarray, beta_p: float) -> bool:
+    """Canonical monotonicity of a whole trajectory: every column passes
+    monotone_columns."""
+    return bool(np.all(monotone_columns(prices, salvages, beta_p)))
 
 
 @dataclass
@@ -168,6 +174,44 @@ def backward_lower(instance: MarketInstance, option_set: OptionSet) -> BoundResu
     return BoundResult(kind="lower_backward", value=float(l.sum()), per_option=l)
 
 
+def _warn_uncertified() -> None:
+    warnings.warn(
+        "trajectory is not homogeneous+monotone: DFA value returned "
+        "but not certified as a bound",
+        ValidityWarning,
+        stacklevel=3,
+    )
+
+
+def _dfa_forward(ev, tau, xi, mu_pmf):
+    """Forward availability recursion of K option sets of one length N.
+
+    ev[t-1, k] = exp(q_k + beta_p tau[t-1, k]) is (T, K, W, N), tau is
+    (T, K, N), xi is (K, N) and mu_pmf = mu * arrival pmf is (W,). Returns
+    the K values and the (T+1, K, N) availabilities. Every step uses only
+    elementwise products and sums over one set's own rows, and the value is
+    added up once per step, so a set's value is bit-identical whether it is
+    evaluated alone or in any batch. The inputs are made C-contiguous first:
+    the sums' rounding depends on the memory layout.
+    """
+    ev, tau, xi = (np.ascontiguousarray(x, dtype=float) for x in (ev, tau, xi))
+    T, K, _, N = ev.shape
+    avail = np.empty((T + 1, K, N))
+    avail[T] = 1.0
+    value = np.zeros(K)
+    weight = mu_pmf[:, None]
+    for t in range(T, 0, -1):
+        a = avail[t]
+        e = ev[t - 1]
+        base = 1.0 + (e * a[:, None, :]).sum(axis=-1)  # (K, W)
+        rho = e / (base[:, :, None] + (1.0 - a)[:, None, :] * e)
+        sale = (weight * rho).sum(axis=-2)  # (K, N)
+        value += (a * sale * tau[t - 1]).sum(axis=-1)
+        avail[t - 1] = a * (1.0 - sale)
+    value += (avail[0] * xi).sum(axis=-1)
+    return value, avail
+
+
 def dfa(
     instance: MarketInstance, option_set: OptionSet, trajectory: PriceTrajectory
 ) -> BoundResult:
@@ -175,42 +219,28 @@ def dfa(
 
     Availability enters fully for the own option and scaled by the rivals'
     availability; each step costs O(N) per type. Certified as a lower bound
-    only for homogeneous, canonically monotone trajectories.
+    only for homogeneous, canonically monotone trajectories. This is the
+    K = 1 case of the batched recursion that column generation runs on many
+    option sets at once, and it gives the same value bit for bit.
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
-    mu = instance.arrival_prob
     T = instance.horizon
     n = len(option_set.options)
-    if trajectory.prices.shape != (T, n):
-        raise DimensionMismatch(
-            f"trajectory shape {trajectory.prices.shape} != {(T, n)}"
-        )
+    tau = trajectory.prices
+    if tau.shape != (T, n):
+        raise DimensionMismatch(f"trajectory shape {tau.shape} != {(T, n)}")
     certified = trajectory.homogeneous and trajectory.monotone_ok
     if not certified:
-        warnings.warn(
-            "trajectory is not homogeneous+monotone: DFA value returned "
-            "but not certified as a bound",
-            ValidityWarning,
-        )
-    avail = np.empty((T + 1, n))
-    avail[T] = 1.0
-    value = 0.0
-    for t in range(T, 0, -1):
-        a = avail[t]
-        tau_t = trajectory.prices[t - 1]
-        v = q + beta_p * tau_t[None, :]  # (types, N)
-        ev = np.exp(v)
-        base = 1.0 + ev @ a  # (types,)
-        rho = ev / (base[:, None] + (1.0 - a)[None, :] * ev)
-        sale = mu * (pmf @ rho)  # (N,)
-        value += float(np.sum(a * sale * tau_t))
-        avail[t - 1] = a * (1.0 - sale)
-    value += float(avail[0] @ xi)
+        _warn_uncertified()
+    ev = np.exp(q + beta_p * tau[:, None, None, :])  # (T, 1, W, N)
+    value, avail = _dfa_forward(
+        ev, tau[:, None, :], xi[None, :], instance.arrival_prob * pmf
+    )
     return BoundResult(
         kind="dfa",
-        value=value,
+        value=float(value[0]),
         trajectory=trajectory,
-        availability=avail,
+        availability=avail[:, 0, :],
         certified=certified,
     )
 

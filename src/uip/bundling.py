@@ -16,9 +16,11 @@ import numpy as np
 from .bounds import (
     BoundResult,
     PriceTrajectory,
-    check_monotone,
+    _dfa_forward,
+    _warn_uncertified,
     dfa,
     fluid,
+    monotone_columns,
     singleton_upper_profiles,
     static,
 )
@@ -83,30 +85,47 @@ class ColumnGenTrace:
         }
 
 
+# Upper limit on the elements of one batch's exp(q + beta_p tau) array; a
+# larger batch is split, which leaves every value unchanged.
+_BATCH_ELEMS = 1 << 22
+
+
 class _SetEvaluator:
     """DFA evaluation of sets assembled from a precomputed option pool.
 
     Per-option individual values r and trajectories tau^U are computed once
     for the whole pool (the recursions are independent); a set's trajectory
-    is just the corresponding columns.
+    is just the corresponding columns. The pool's quality matrix, salvage
+    vector and per-column monotonicity flags are also kept once; a set is
+    certified iff all of its columns are. dfa_many groups its sets by length
+    and gathers and exponentiates exp(q + beta_p tau) per batch, so no array
+    of size T x W x M is built for the pool.
     """
 
     def __init__(self, instance: MarketInstance, options: Sequence[BundleOption]):
-        self.instance = instance
         self.options = list(options)
-        self.sign = canonical_sign(instance.customer.price_sensitivity)
+        cust = instance.customer
+        self.beta_p = cust.price_sensitivity
+        self.sign = canonical_sign(self.beta_p)
         self.r, self.tau = singleton_upper_profiles(instance, self.options)
-        self.index = {o.items: j for j, o in enumerate(self.options)}
+        self.q = cust.quality_matrix(self.options)
+        self.xi = instance.salvage_vector(self.options)
+        self.monotone = monotone_columns(self.tau, self.xi, self.beta_p)
+        self.mu_pmf = instance.arrival_prob * cust.arrival_pmf
         self.singleton_of = {
             o.items[0]: j for j, o in enumerate(self.options) if o.cardinality == 1
         }
-        self._dfa_cache: dict = {}
-
-    def upper_canonical(self, indices: Sequence[int]) -> float:
-        return float(self.sign * self.r[list(indices)].sum())
 
     def set_of(self, indices: Sequence[int]) -> OptionSet:
         return OptionSet(tuple(self.options[j] for j in indices))
+
+    def trajectory(self, indices: Sequence[int]) -> PriceTrajectory:
+        idx = list(indices)
+        return PriceTrajectory(
+            prices=self.tau[:, idx],
+            homogeneous=True,
+            monotone_ok=bool(np.all(self.monotone[idx])),
+        )
 
     def complete_with_singletons(self, j: int) -> list[int]:
         """Indices of S_j: option j plus singletons of the items not in j."""
@@ -115,23 +134,27 @@ class _SetEvaluator:
             self.singleton_of[l] for l in sorted(self.singleton_of) if l not in inside
         ]
 
-    def dfa_canonical(self, indices: Sequence[int]) -> float:
-        key = tuple(sorted(indices))
-        hit = self._dfa_cache.get(key)
-        if hit is not None:
-            return hit
-        idx = list(indices)
-        option_set = self.set_of(idx)
-        tau = self.tau[:, idx]
-        xi = self.instance.salvage_vector(option_set.options)
-        traj = PriceTrajectory(
-            prices=tau,
-            homogeneous=True,
-            monotone_ok=check_monotone(tau, xi, self.instance.customer.price_sensitivity),
-        )
-        val = self.sign * dfa(self.instance, option_set, traj).value
-        self._dfa_cache[key] = val
-        return val
+    def dfa_many(self, sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """Canonical V^DFA of every set (a list of pool indices), equal bit
+        for bit to dfa() of that set under the pool trajectory. Sets of one
+        length share a forward recursion."""
+        values = np.empty(len(sets))
+        by_len: dict[int, list[int]] = {}
+        for k, idx in enumerate(sets):
+            by_len.setdefault(len(idx), []).append(k)
+        T, W = self.tau.shape[0], self.q.shape[0]
+        for n, ks in by_len.items():
+            step = max(1, _BATCH_ELEMS // max(1, T * W * n))
+            for lo in range(0, len(ks), step):
+                part = ks[lo : lo + step]
+                idx = np.array([sets[k] for k in part], dtype=int)  # (K, N)
+                tau = np.take(self.tau, idx, axis=1)  # (T, K, N), C order
+                q = np.ascontiguousarray(self.q[:, idx].transpose(1, 0, 2))  # (K, W, N)
+                ev = np.exp(q + self.beta_p * tau[:, :, None, :])
+                values[part] = _dfa_forward(ev, tau, self.xi[idx], self.mu_pmf)[0]
+        if not all(np.all(self.monotone[list(idx)]) for idx in sets):
+            _warn_uncertified()
+        return self.sign * values
 
 
 # Scores and DFA values this close (relative) count as tied: permutations of
@@ -162,6 +185,13 @@ def column_generation(
     whose DFA values decide the returned set (values within 1e-12 relative
     of the best tie; ties prefer fewer bundles, then the lexicographically
     smallest encoding).
+
+    DFA values are computed in batches, and a set's value does not depend on
+    its batch. When the best candidate has no exact improvement yet, the
+    improvements of the candidates with positive score are computed together,
+    best perturbed score first, as many as columns may still enter, plus the
+    best candidate itself. The distinct top-n_eval partitions and S0 are
+    ranked from one batch.
     """
     pool = enumerate_options(instance, cap=option_cap)
     ev = _SetEvaluator(instance, pool)
@@ -170,7 +200,7 @@ def column_generation(
 
     singleton_idx = [ev.singleton_of[l] for l in item_ids]
     s0_indices = list(singleton_idx)
-    dfa_s0 = ev.dfa_canonical(s0_indices)
+    dfa_s0 = float(ev.dfa_many([s0_indices])[0])
     r_c = ev.sign * ev.r  # canonical individual values
     singleton_r_by_item = {l: r_c[ev.singleton_of[l]] for l in item_ids}
     total_singleton_r = sum(singleton_r_by_item.values())
@@ -191,6 +221,7 @@ def column_generation(
     for r, j in enumerate(bundle_idx):
         incidence[r, [item_pos[l] for l in pool[j].items]] = 1.0
     cand_mask = np.ones(bundle_idx.size, dtype=bool)
+    improvements: dict[int, float] = {}  # exact DFA improvement by candidate
 
     columns = [j for j in singleton_idx]
     rewards = [0.0] * len(columns)
@@ -212,8 +243,19 @@ def column_generation(
         score = float(scores[j_rel])
         if score <= 0:
             break
+        if j_rel not in improvements:
+            n_left = len(item_ids) + config.n_gen - len(columns)
+            batch = [j_rel] + [
+                k
+                for k in np.argsort(-scores, kind="stable")[:n_left].tolist()
+                if scores[k] > 0 and k != j_rel and k not in improvements
+            ]
+            vals = ev.dfa_many(
+                [ev.complete_with_singletons(int(bundle_idx[k])) for k in batch]
+            )
+            improvements.update(zip(batch, (vals - dfa_s0).tolist()))
         j_star = int(bundle_idx[j_rel])
-        improvement = ev.dfa_canonical(ev.complete_with_singletons(j_star)) - dfa_s0
+        improvement = improvements[j_rel]
         exact_score = improvement - float(dual_cost[j_rel])
         trace.iterations.append(
             ColumnGenIteration(
@@ -242,28 +284,19 @@ def column_generation(
     if config.include_baseline:
         candidates.append(s0_indices)
 
-    seen = set()
-    ranked = []  # (value, bundle_count, canonical, indices)
+    distinct = {}  # canonical encoding -> indices, first occurrence kept
     for idx in candidates:
+        distinct.setdefault(ev.set_of(idx).canonical(), idx)
+    values = ev.dfa_many(list(distinct.values())).tolist()
+    ranked = []  # (value, bundle_count, canonical, indices)
+    for (key, idx), val in zip(distinct.items(), values):
         opt_set = ev.set_of(idx)
-        key = opt_set.canonical()
-        if key in seen:
-            continue
-        seen.add(key)
-        val = ev.dfa_canonical(idx)
         trace.evaluated_sets.append((opt_set, ev.sign * val))
         ranked.append((val, opt_set.bundle_count, key, idx))
-    tied = _tied_with_best(np.array([r[0] for r in ranked]))
+    tied = _tied_with_best(np.array(values))
     idx = min((r for r, t in zip(ranked, tied) if t), key=lambda r: r[1:3])[3]
     final_set = ev.set_of(idx)
-    tau = ev.tau[:, list(idx)]
-    xi = instance.salvage_vector(final_set.options)
-    traj = PriceTrajectory(
-        prices=tau,
-        homogeneous=True,
-        monotone_ok=check_monotone(tau, xi, instance.customer.price_sensitivity),
-    )
-    result = dfa(instance, final_set, traj)
+    result = dfa(instance, final_set, ev.trajectory(idx))
     return final_set, result, trace
 
 
@@ -273,17 +306,18 @@ def best_upper_bound_partition(
     """Partition maximizing the backward upper bound; its value Z* is the
     denominator of optimality gaps for any candidate set."""
     pool = enumerate_options(instance, cap=option_cap)
-    ev = _SetEvaluator(instance, pool)
+    r, _ = singleton_upper_profiles(instance, pool)
+    sign = canonical_sign(instance.customer.price_sensitivity)
     item_ids = sorted(it.id for it in instance.items)
     milp = SetPartitionMilp(
         options=pool,
-        rewards=ev.sign * ev.r,
+        rewards=sign * r,
         item_ids=item_ids,
         max_bundles=instance.max_bundles,
     )
     z, obj = bnb_solve(milp)
     chosen = OptionSet(tuple(assignment_options(milp, z)))
-    return chosen, ev.sign * obj  # Z* reported in the instance's own sign
+    return chosen, sign * obj  # Z* reported in the instance's own sign
 
 
 def optimality_gap(z_star: float, value: float, beta_p: float) -> float:

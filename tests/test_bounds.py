@@ -9,10 +9,20 @@ from uip.bounds import (
     check_monotone,
     dfa,
     fluid,
+    monotone_columns,
     static,
 )
 from uip.errors import DimensionMismatch, ValidityWarning
-from uip.model import CustomerModel, Item, MarketInstance, generate_synthetic, singletons
+from uip.model import (
+    CustomerModel,
+    Item,
+    MarketInstance,
+    OptionSet,
+    enumerate_options,
+    extended_choice,
+    generate_synthetic,
+    singletons,
+)
 from uip.numerics import lambert_w0
 from uip.pricing import canonical_sign, exact_dp
 
@@ -137,6 +147,39 @@ class TestDfa:
         with pytest.warns(ValidityWarning):
             res = dfa(inst, s0, bad)
         assert not res.certified
+
+    def test_matches_extended_choice_reference(self):
+        # period by period and type by type: the sale probability of each
+        # option is the pmf-weighted extended choice at the current
+        # availability, in both orientations and with nonzero salvage
+        def reference(inst, option_set, prices):
+            cust, opts = inst.customer, option_set.options
+            a = np.ones(len(opts))
+            avail, value = [a], 0.0
+            for t in range(inst.horizon, 0, -1):
+                sale = inst.arrival_prob * sum(
+                    cust.arrival_pmf[w] * extended_choice(cust, opts, prices[t - 1], a, w)
+                    for w in range(cust.n_types)
+                )
+                value += float(np.sum(a * sale * prices[t - 1]))
+                a = a * (1.0 - sale)
+                avail.append(a)
+            return value + float(a @ inst.salvage_vector(opts)), np.array(avail[::-1])
+
+        for seed, beta_p, lam in ((0, -1.0, 3.0), (1, 1.0, 3.0), (2, -0.7, 0.05),
+                                  (3, 1.4, 2.0)):
+            inst = generate_synthetic(seed, 4, "C", 1.5, demand=lam, arrival_prob=0.1,
+                                      beta_p=beta_p, salvage=0.6, max_bundle_size=2)
+            pool = enumerate_options(inst)
+            sets = [singletons(inst),
+                    OptionSet((pool[-1],) + tuple(o for o in pool[:4]
+                                                  if not set(o.items) & set(pool[-1].items)))]
+            for option_set in sets:
+                res = dfa(inst, option_set, backward_upper(inst, option_set).trajectory)
+                want, want_avail = reference(inst, option_set, res.trajectory.prices)
+                assert res.availability.shape == (inst.horizon + 1, len(option_set.options))
+                assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
+                assert np.max(np.abs(res.availability - want_avail)) <= 1e-12
 
     def test_dimension_mismatch(self):
         inst = random_instance(4, lam=2.0)
@@ -264,6 +307,31 @@ def test_check_monotone_freight_sign():
     prices = np.array([[3.0], [2.0], [1.0]])
     assert check_monotone(prices, np.array([5.0]), beta_p=0.5)
     assert not check_monotone(prices, np.array([5.0]), beta_p=-0.5)
+
+
+def test_monotone_columns_match_set_flag():
+    # a trajectory is monotone iff every column is; a column may fail at its
+    # salvage row alone
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        beta_p = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        s = canonical_sign(beta_p)
+        T, n = int(rng.integers(0, 6)), int(rng.integers(1, 5))
+        canon = 1.0 + np.cumsum(rng.uniform(-0.1, 1.0, size=(T, n)), axis=0)
+        xi_canon = rng.uniform(0.0, 1.4, size=n)
+        want = np.array([
+            (T == 0 or canon[0, i] >= xi_canon[i] - 1e-12)
+            and bool(np.all(np.diff(canon[:, i]) >= -1e-12))
+            for i in range(n)
+        ])
+        got = monotone_columns(s * canon, s * xi_canon, beta_p)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert check_monotone(s * canon, s * xi_canon, beta_p) == bool(want.all())
+    # increasing column whose first price lies below its salvage
+    prices = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    flags = monotone_columns(prices, np.array([0.5, 1.5]), beta_p=-1.0)
+    assert flags.tolist() == [True, False]
+    assert not check_monotone(prices, np.array([0.5, 1.5]), beta_p=-1.0)
 
 
 def test_bound_result_json():

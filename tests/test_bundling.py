@@ -1,25 +1,32 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
-from uip.bounds import backward_upper, dfa
+import uip.bundling
+from uip.bounds import PriceTrajectory, backward_upper, dfa, singleton_upper_profiles
 from uip.bundling import (
     ColumnGenConfig,
+    _SetEvaluator,
     best_upper_bound_partition,
     column_generation,
     greedy_bundle,
     min_empty_miles,
     optimality_gap,
 )
-from uip.errors import MissingFreightData
+from uip.errors import MissingFreightData, ValidityWarning
 from uip.model import (
     CustomerModel,
     FreightItemData,
     Item,
     MarketInstance,
+    OptionSet,
+    enumerate_options,
     generate_synthetic,
     singletons,
 )
+from uip.pricing import canonical_sign
 
 
 def dfa_value(inst, option_set):
@@ -80,6 +87,96 @@ class TestColumnGeneration:
                                   max_bundles=2)
         _, _, trace = column_generation(inst, ColumnGenConfig(n_gen=4, n_eval=2))
         json.loads(json.dumps(trace.to_json_dict()))
+
+
+class TestSetEvaluator:
+    def test_batched_values_equal_values_alone(self, monkeypatch):
+        # mixed set lengths, shuffled batch order, batches split by the
+        # element cap, and the public dfa under the pool trajectory all give
+        # the same bits
+        rng = np.random.default_rng(3)
+        for seed, L, beta_p in ((0, 9, -1.0), (1, 6, 1.0)):
+            inst = generate_synthetic(seed, L, "C", 1.5, demand=float(L), beta_p=beta_p,
+                                      salvage=0.3, max_bundle_size=3, max_bundles=2)
+            ev = _SetEvaluator(inst, enumerate_options(inst))
+            bundles = [j for j, o in enumerate(ev.options) if o.cardinality > 1]
+            sets = [ev.complete_with_singletons(int(j))
+                    for j in rng.choice(bundles, size=30, replace=False)]
+            sets.append(sorted(ev.singleton_of.values()))
+            assert len({len(idx) for idx in sets}) == 3
+            batch = ev.dfa_many(sets)
+            perm = rng.permutation(len(sets))
+            alone = np.array([ev.dfa_many([idx])[0] for idx in sets])
+            public = np.array([ev.sign * dfa(inst, ev.set_of(idx), ev.trajectory(idx)).value
+                               for idx in sets])
+            assert np.array_equal(batch, alone)
+            assert np.array_equal(ev.dfa_many([sets[k] for k in perm]), batch[perm])
+            assert np.array_equal(public, alone)
+            with monkeypatch.context() as m:
+                m.setattr(uip.bundling, "_BATCH_ELEMS", 3 * inst.horizon * 2 * L)
+                assert np.array_equal(ev.dfa_many(sets), batch)
+
+    def test_non_monotone_column_warns(self, monkeypatch):
+        # the singleton of item 0 gets a constant trajectory below its
+        # salvage: monotone in t, failing at the salvage row only
+        real = uip.bundling.singleton_upper_profiles
+
+        def broken(instance, options, horizon=None):
+            r, tau = real(instance, options, horizon)
+            tau = tau.copy()
+            tau[:, 0] = instance.salvage_vector(options[:1])[0] - 0.1
+            return r, tau
+
+        monkeypatch.setattr(uip.bundling, "singleton_upper_profiles", broken)
+        inst = generate_synthetic(2, 4, "B", 2.0, demand=3.0, salvage=0.5,
+                                  max_bundle_size=2, max_bundles=2)
+        ev = _SetEvaluator(inst, enumerate_options(inst))
+        assert ev.options[0].items == (0,)
+        assert not ev.monotone[0] and ev.monotone[1:].all()
+        with pytest.warns(ValidityWarning):
+            ev.dfa_many([sorted(ev.singleton_of.values())])
+        j = next(j for j, o in enumerate(ev.options) if o.items == (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ValidityWarning)
+            ev.dfa_many([ev.complete_with_singletons(j)])
+        with pytest.warns(ValidityWarning):
+            column_generation(inst, ColumnGenConfig(n_gen=2, n_eval=2))
+
+
+class TestColumnGenerationValues:
+    def test_improvements_are_exact_dfa_differences(self):
+        # improvement of column j == V^DFA(S_j) - V^DFA(S0), both under the
+        # pool trajectory, canonical orientation, bit for bit
+        for seed, beta_p in ((0, -1.0), (4, 1.0)):
+            inst = generate_synthetic(seed, 6, "B", 2.0, demand=4.0, beta_p=beta_p,
+                                      salvage=0.2, max_bundle_size=3, max_bundles=2)
+            _, _, trace = column_generation(inst, ColumnGenConfig(n_gen=8, n_eval=3))
+            assert trace.iterations
+            pool = enumerate_options(inst)
+            _, tau = singleton_upper_profiles(inst, pool)
+            pos = {o.items: j for j, o in enumerate(pool)}
+            s = canonical_sign(beta_p)
+            singles = sorted(singletons(inst).options, key=lambda o: o.items)
+
+            def value(options):
+                traj = PriceTrajectory(tau[:, [pos[o.items] for o in options]], True, True)
+                return s * dfa(inst, OptionSet(tuple(options)), traj).value
+
+            v0 = value(singles)
+            for it in trace.iterations:
+                s_j = [it.option] + [o for o in singles if o.items[0] not in it.option.items]
+                assert it.improvement == value(s_j) - v0
+
+    def test_result_value_is_the_chosen_sets_evaluated_value(self):
+        # `uip bundle` reports res.value as "dfa"; it must be the very value
+        # the ranking saw for the chosen set
+        for seed in range(4):
+            inst = generate_synthetic(seed, 8, "B" if seed % 2 else "C", 2.0, demand=8.0,
+                                      max_bundle_size=3, max_bundles=3)
+            chosen, res, trace = column_generation(inst)
+            entries = [v for opt_set, v in trace.evaluated_sets
+                       if opt_set.canonical() == chosen.canonical()]
+            assert entries == [res.value]
 
 
 class TestGreedy:
