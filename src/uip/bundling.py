@@ -181,10 +181,10 @@ def column_generation(
     priced by the perturbed reduced cost, which substitutes the cheap
     individual upper bound for the DFA of the candidate's completed set.
     Accepted columns get their exact DFA improvement as master reward.
-    Finally the binary problem is solved for the top n_eval partitions,
-    whose DFA values decide the returned set (values within 1e-12 relative
-    of the best tie; ties prefer fewer bundles, then the lexicographically
-    smallest encoding).
+    Finally enumerate_top_solutions ranks the top n_eval partitions of the
+    master's columns by their rewards, and their DFA values decide the
+    returned set (values within 1e-12 relative of the best tie; ties prefer
+    fewer bundles, then the lexicographically smallest encoding).
 
     DFA values are computed in batches, and a set's value does not depend on
     its batch. When the best candidate has no exact improvement yet, the
@@ -300,24 +300,46 @@ def column_generation(
     return final_set, result, trace
 
 
+def _undominated(pool: Sequence[BundleOption], rewards: np.ndarray) -> list[int]:
+    """Pool indices that some optimal partition still needs: every singleton,
+    and per item set of a bundle the member order with the largest reward
+    (lowest index on ties), unless that reward is at most the sum of its
+    members' singleton rewards. Exact for the single best partition only."""
+    single = {o.items[0]: rewards[j] for j, o in enumerate(pool) if o.cardinality == 1}
+    best: dict[frozenset, int] = {}
+    for j, o in enumerate(pool):
+        if o.cardinality > 1 and rewards[j] <= sum(single[l] for l in o.items):
+            continue
+        key = frozenset(o.items)
+        if key not in best or rewards[j] > rewards[best[key]]:
+            best[key] = j
+    return sorted(best.values())
+
+
 def best_upper_bound_partition(
     instance: MarketInstance, option_cap: int = 200_000
 ) -> tuple[OptionSet, float]:
     """Partition maximizing the backward upper bound; its value Z* is the
-    denominator of optimality gaps for any candidate set."""
+    denominator of optimality gaps for any candidate set. Dominated columns
+    (_undominated) are dropped before branch and bound."""
     pool = enumerate_options(instance, cap=option_cap)
     r, _ = singleton_upper_profiles(instance, pool)
     sign = canonical_sign(instance.customer.price_sensitivity)
+    rewards = sign * r
+    keep = _undominated(pool, rewards)
     item_ids = sorted(it.id for it in instance.items)
     milp = SetPartitionMilp(
-        options=pool,
-        rewards=sign * r,
+        options=[pool[j] for j in keep],
+        rewards=rewards[keep],
         item_ids=item_ids,
         max_bundles=instance.max_bundles,
     )
-    z, obj = bnb_solve(milp)
+    z, _ = bnb_solve(milp)
     chosen = OptionSet(tuple(assignment_options(milp, z)))
-    return chosen, sign * obj  # Z* reported in the instance's own sign
+    # summed over the whole pool, so Z* does not depend on the pruning's last bits
+    z_pool = np.zeros(len(pool))
+    z_pool[keep] = z
+    return chosen, sign * float(rewards @ z_pool)  # in the instance's own sign
 
 
 def optimality_gap(z_star: float, value: float, beta_p: float) -> float:

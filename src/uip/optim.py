@@ -1,4 +1,5 @@
-"""Dense LP (primal + dual) and branch-and-bound MILP for set partitioning.
+"""Dense LP (primal + dual), branch-and-bound and a k-best subset DP for set
+partitioning.
 
 The simplex is a two-phase dense tableau used to locate an optimal basis;
 the reported solution is then recomputed from that basis against the
@@ -8,9 +9,11 @@ masters and branch-and-bound nodes of a few hundred columns and a few dozen
 rows). A warm basis is re-entered through the primal simplex when it is
 primal feasible and through the dual simplex when it is only dual feasible.
 
-The MILP solver is intentionally narrow: binary set-partitioning problems
-with a cardinality row and optional no-good cuts, solved best-first on the
-LP relaxation, each node re-solved from its parent's basis.
+The MILP solvers are intentionally narrow: binary set-partitioning problems
+with a cardinality row. bnb_solve finds one optimum best-first on the LP
+relaxation, each node re-solved from its parent's basis;
+enumerate_top_solutions ranks the n best partitions by a dynamic program
+over the uncovered items.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Infeasible, NumericalFailure
+from .errors import CapExceeded, Infeasible, NumericalFailure, PartitionMismatch
 from .model import BundleOption
 
 LE, EQ, GE = "<=", "=", ">="
@@ -359,7 +362,10 @@ def simplex_solve(lp: LinearProgram, warm_basis=None) -> LpSolution:
     """
     n = lp.objective.size
     if n > 5000 or len(lp.constraints) > 2000:
-        raise ValueError("problem exceeds the dense-solver size cap")
+        raise CapExceeded(
+            f"LP with {n} variables and {len(lp.constraints)} constraints exceeds "
+            "the dense-solver size cap (5000 and 2000)"
+        )
     A, rels, b, tags, lo = _canonical_form(lp)
     c = lp.objective.copy()
 
@@ -494,19 +500,17 @@ class SetPartitionMilp:
         missing = [l for l in self.item_ids if l not in covered]
         if missing:
             raise Infeasible(f"items {missing} not covered by any option")
+        extra = sorted(covered.difference(self.item_ids))
+        if extra:
+            raise PartitionMismatch(f"options hold items {extra} outside item_ids")
 
-    def base_lp(self, cuts=()) -> LinearProgram:
-        n = len(self.options)
+    def base_lp(self) -> LinearProgram:
         rows = []
         for l in self.item_ids:
             a = np.array([1.0 if l in o.items else 0.0 for o in self.options])
             rows.append((a, EQ, 1.0))
         bundle_row = np.array([1.0 if o.cardinality > 1 else 0.0 for o in self.options])
         rows.append((bundle_row, LE, float(self.max_bundles)))
-        for chosen in cuts:
-            a = np.zeros(n)
-            a[list(chosen)] = 1.0
-            rows.append((a, LE, float(len(chosen) - 1)))
         return LinearProgram(objective=self.rewards.copy(), constraints=rows)
 
     def singleton_assignment(self) -> Optional[np.ndarray]:
@@ -520,23 +524,6 @@ class SetPartitionMilp:
             z[k] = 1.0
         return z
 
-    def to_debug_json(self) -> str:
-        return json.dumps(
-            {
-                "options": [list(o.items) for o in self.options],
-                "rewards": self.rewards.tolist(),
-                "items": list(self.item_ids),
-                "max_bundles": self.max_bundles,
-            }
-        )
-
-
-def _assignment_satisfies_cuts(z: np.ndarray, cuts) -> bool:
-    for chosen in cuts:
-        if sum(z[list(chosen)]) > len(chosen) - 1 + 1e-9:
-            return False
-    return True
-
 
 def _branch_row(n: int, j: int, v: int):
     """x_j <= 0 for the 0-branch, x_j >= 1 for the 1-branch."""
@@ -546,9 +533,10 @@ def _branch_row(n: int, j: int, v: int):
 
 
 def bnb_solve(
-    milp: SetPartitionMilp, cuts=(), integrality_tol: float = 1e-6
+    milp: SetPartitionMilp, integrality_tol: float = 1e-6
 ) -> tuple[np.ndarray, float]:
-    """Optimal binary partition by best-first branch and bound.
+    """One optimal binary partition by best-first branch and bound (Z*,
+    min_empty_miles); enumerate_top_solutions ranks the n best.
 
     Nodes are ordered by LP relaxation bound (ties by creation index);
     branching fixes the most fractional variable (ties by lowest option
@@ -564,11 +552,11 @@ def bnb_solve(
     incumbent = None
     incumbent_obj = -np.inf
     z0 = milp.singleton_assignment()
-    if z0 is not None and milp.max_bundles >= 0 and _assignment_satisfies_cuts(z0, cuts):
+    if z0 is not None and milp.max_bundles >= 0:
         incumbent = z0
         incumbent_obj = float(milp.rewards @ z0)
 
-    base = milp.base_lp(cuts)
+    base = milp.base_lp()
     heap: list = []
     counter = 0
     heapq.heappush(heap, (-np.inf, counter, (), None))
@@ -606,23 +594,67 @@ def bnb_solve(
     return incumbent, incumbent_obj
 
 
+# Most (uncovered items, bundles allowed) states enumerate_top_solutions
+# fills before it raises CapExceeded; column-generation masters at L <= 20
+# with n_eval = 10 need under two thousand.
+_TOP_STATE_CAP = 100_000
+
+
 def enumerate_top_solutions(
     milp: SetPartitionMilp, n: int
 ) -> list[tuple[np.ndarray, float]]:
     """Up to n distinct feasible partitions in non-increasing objective
-    order, produced by re-solving with a no-good cut after each solution."""
+    order, with their objectives rewards @ z.
+
+    A k-best dynamic program over subsets (Yeh 1986; Lawler 1972). A state
+    is (uncovered items, bundles still allowed), and its next column must
+    cover the lowest uncovered item, so every partition has exactly one
+    path. Each state keeps its n best completions ordered by value
+    (descending), then bundle count, then the column-index path
+    (lexicographic). That order is additive along a path, so cutting every
+    state to n entries keeps the global top n, and ties prefer fewer
+    bundles. Raises CapExceeded beyond _TOP_STATE_CAP states.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out: list[tuple[np.ndarray, float]] = []
-    cuts: list[tuple[int, ...]] = []
-    for _ in range(n):
-        try:
-            z, obj = bnb_solve(milp, cuts=tuple(cuts))
-        except Infeasible:
-            break
-        chosen = tuple(int(j) for j in np.flatnonzero(z > 0.5))
-        out.append((z, obj))
-        cuts.append(chosen)
+    if milp.max_bundles < 0:
+        return []
+    pos = {l: k for k, l in enumerate(milp.item_ids)}
+    rewards = milp.rewards.tolist()
+    by_lowest: list[list[tuple[int, int, int]]] = [[] for _ in pos]
+    for j, o in enumerate(milp.options):
+        mask = sum(1 << pos[l] for l in o.items)
+        by_lowest[(mask & -mask).bit_length() - 1].append((j, mask, int(o.cardinality > 1)))
+
+    # completions per state as (-value, bundle count, path), best first
+    memo: dict[tuple[int, int], list] = {(0, 0): [(-0.0, 0, ())]}
+
+    def best(mask: int, left: int) -> list:
+        left = min(left, mask.bit_count() // 2)
+        key = (mask, left)
+        if key in memo:
+            return memo[key]
+        if len(memo) >= _TOP_STATE_CAP:
+            raise CapExceeded(f"partition ranking exceeds {_TOP_STATE_CAP} DP states")
+        cands = []
+        for j, cmask, bundle in by_lowest[(mask & -mask).bit_length() - 1]:
+            if cmask & ~mask or bundle > left:
+                continue
+            r = rewards[j]
+            for neg, count, path in best(mask ^ cmask, left - bundle):
+                cands.append((neg - r, count + bundle, (j,) + path))
+        cands.sort()
+        memo[key] = cands[:n]
+        return memo[key]
+
+    out = []
+    for _, _, path in best((1 << len(pos)) - 1, milp.max_bundles):
+        z = np.zeros(len(milp.options))
+        z[list(path)] = 1.0
+        out.append((z, float(milp.rewards @ z)))
+    # rewards @ z adds in another order than the path; the stable sort keeps
+    # the DP's order wherever the two sums agree
+    out.sort(key=lambda t: -t[1])
     return out
 
 

@@ -9,6 +9,7 @@ from uip.bounds import PriceTrajectory, backward_upper, dfa, singleton_upper_pro
 from uip.bundling import (
     ColumnGenConfig,
     _SetEvaluator,
+    _undominated,
     best_upper_bound_partition,
     column_generation,
     greedy_bundle,
@@ -26,6 +27,7 @@ from uip.model import (
     generate_synthetic,
     singletons,
 )
+from uip.optim import SetPartitionMilp, bnb_solve
 from uip.pricing import canonical_sign
 
 
@@ -218,6 +220,24 @@ class TestZStar:
         assert z_star >= res.value - 1e-9
         gap = optimality_gap(z_star, res.value, inst.customer.price_sensitivity)
         assert gap >= -1e-9
+
+    def test_pruned_pool_keeps_the_optimum(self):
+        rng = np.random.default_rng(10)
+        for trial in range(12):
+            inst = generate_synthetic(trial, 6, "A", 1.0, max_bundle_size=3, max_bundles=3)
+            pool = enumerate_options(inst)
+            ids = [it.id for it in inst.items]
+            r, _ = singleton_upper_profiles(inst, pool)
+            sign = canonical_sign(inst.customer.price_sensitivity)
+            _, full = bnb_solve(SetPartitionMilp(pool, sign * r, ids, 3))
+            assert best_upper_bound_partition(inst)[1] == pytest.approx(sign * full, abs=1e-12)
+            # random rewards: member orders differ and some bundles pay
+            rewards = rng.uniform(-1.0, 1.0, len(pool))
+            keep = _undominated(pool, rewards)
+            assert len(ids) < len(keep) < len(pool)
+            _, pruned = bnb_solve(SetPartitionMilp([pool[j] for j in keep], rewards[keep], ids, 3))
+            _, full = bnb_solve(SetPartitionMilp(pool, rewards, ids, 3))
+            assert pruned == pytest.approx(full, abs=1e-12)
 
 
 def brute_force_pairings(loads, ehat_dst):

@@ -82,6 +82,14 @@ class TestOutputs:
         assert code == 0
         assert [0, 2, 4] in json.loads(text)["options"]
 
+    def test_bundle_z_star_past_the_lp_size_cap(self, tmp_path):
+        # the 7,240-option pool at L=20 is over the simplex's 5000-column cap;
+        # Z* drops dominated columns before branch and bound
+        code, text = run(tmp_path, "bundle", "--L", "20", "--lambda", "8",
+                         "--kb", "3", "--ks", "3")
+        assert code == 0
+        assert np.isfinite(json.loads(text)["z_star"])
+
     def test_greedy_json_schema(self, tmp_path):
         code, text = run(tmp_path, "greedy", "--L", "4", "--lambda", "2",
                          "--scenario", "B", "--beta", "2", "--kb", "2", "--ks", "2")

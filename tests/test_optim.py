@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import uip.optim
-from uip.errors import Infeasible
-from uip.model import BundleOption, generate_synthetic
+from uip.errors import CapExceeded, Infeasible, PartitionMismatch
+from uip.model import BundleOption, enumerate_options, generate_synthetic
 from uip.optim import (
     EQ,
     GE,
@@ -198,7 +198,7 @@ class TestSimplex:
         assert len(dual_runs) == len(statuses)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceeded):
             simplex_solve(LinearProgram(np.ones(5001), []))
 
     def test_debug_dump_parses(self):
@@ -206,6 +206,13 @@ class TestSimplex:
 
         lp = LinearProgram([1.0], [(np.array([1.0]), LE, 1.0)])
         json.loads(lp.to_debug_json())
+
+
+def criterion_10_milp(trial, rng):
+    inst = generate_synthetic(trial, 6, "A", 1.0, max_bundle_size=3, max_bundles=3)
+    pool = enumerate_options(inst)
+    rewards = rng.uniform(-1.0, 1.0, len(pool))
+    return inst, SetPartitionMilp(pool, rewards, [it.id for it in inst.items], 3)
 
 
 class TestBnb:
@@ -228,6 +235,10 @@ class TestBnb:
     def test_uncovered_item_infeasible(self):
         with pytest.raises(Infeasible):
             SetPartitionMilp([BundleOption((0,))], [0.0], [0, 1], 1)
+
+    def test_item_outside_item_ids_rejected(self):
+        with pytest.raises(PartitionMismatch):
+            SetPartitionMilp(self.options_l2() + [BundleOption((0, 5))], [0.0] * 4, [0, 1], 1)
 
     def test_matches_partition_enumeration(self):
         rng = np.random.default_rng(6)
@@ -270,3 +281,44 @@ class TestBnb:
         milp = SetPartitionMilp(self.options_l2(), [0.0, 0.0, 0.9], [0, 1], 1)
         z, _ = bnb_solve(milp)
         assert [o.items for o in assignment_options(milp, z)] == [(0, 1)]
+
+    def test_top_solutions_match_brute_force_ranking(self):
+        rng = np.random.default_rng(11)
+        for trial in range(50):
+            inst, milp = criterion_10_milp(trial, rng)
+            ridx = {o.items: k for k, o in enumerate(milp.options)}
+            every = sorted(
+                (sum(milp.rewards[ridx[o.items]] for o in p) for p in enumerate_partitions(inst)),
+                reverse=True,
+            )
+            for n in (1, 5, 10, len(every)):
+                tops = enumerate_top_solutions(milp, n)
+                objs = [o for _, o in tops]
+                assert objs == pytest.approx(every[:n], abs=1e-12)
+                assert all(a >= b for a, b in zip(objs, objs[1:]))
+                assert len({tuple(np.flatnonzero(z)) for z, _ in tops}) == len(tops)
+                for z, obj in tops:
+                    items = sorted(i for o in assignment_options(milp, z) for i in o.items)
+                    assert items == sorted(milp.item_ids)
+                    assert obj == float(milp.rewards @ z)
+                if n == 1:
+                    assert objs[0] == pytest.approx(bnb_solve(milp)[1], abs=1e-12)
+
+    def test_top_solutions_exact_tie_prefers_singletons(self):
+        # with the bundle listed first, only the bundle count breaks the tie
+        for options in (self.options_l2(), self.options_l2()[::-1]):
+            milp = SetPartitionMilp(options, [0.0, 0.0, 0.0], [0, 1], 1)
+            tops = enumerate_top_solutions(milp, 2)
+            assert [len(assignment_options(milp, z)) for z, _ in tops] == [2, 1]
+
+    def test_top_solutions_no_bundles_allowed(self):
+        milp = SetPartitionMilp(self.options_l2(), [0.0, 0.0, 100.0], [0, 1], 0)
+        tops = enumerate_top_solutions(milp, 5)
+        assert [list(z) for z, _ in tops] == [[1.0, 1.0, 0.0]]
+        assert tops[0][1] == 0.0
+
+    def test_top_solutions_state_cap(self, monkeypatch):
+        monkeypatch.setattr(uip.optim, "_TOP_STATE_CAP", 3)
+        _, milp = criterion_10_milp(0, np.random.default_rng(0))
+        with pytest.raises(CapExceeded):
+            enumerate_top_solutions(milp, 5)
