@@ -272,6 +272,38 @@ class TestStatic:
             diffs.append(v - res.value)
         assert diffs[-1] > 0.1  # stationary prices cannot track the horizon
 
+    # static values pinned on criterion 4's instances (L=5, lambda=20,
+    # singletons) and on one bundled set in scenarios A, B and C
+    PINNED_C4 = (
+        11.588522798794331, 11.358430274378062, 10.73148642990339, 10.593577122656882,
+        11.773290681261345, 10.95505721675431, 11.307813306157213, 11.732608990206668,
+        11.333456077667332, 12.079486027440332, 11.689224273604932, 10.825245984477588,
+        11.135635606854398, 12.052047803522793, 12.0796541303349, 11.359022513668785,
+        11.11805620771877, 10.913712781304389, 11.199212956122366, 11.435847105239665,
+    )
+    PINNED_SCENARIOS = {
+        ("A", 0, -1.0): 5.77877835955965, ("A", 0, 1.0): -3.930746697535081,
+        ("A", 1, -1.0): 5.692315334460773, ("A", 1, 1.0): -3.850062029076845,
+        ("B", 0, -1.0): 6.219971310058557, ("B", 0, 1.0): -4.415996967594554,
+        ("B", 1, -1.0): 5.9568896719682805, ("B", 1, 1.0): -4.167790744856992,
+        ("C", 0, -1.0): 5.781658191454894, ("C", 0, 1.0): -3.934312993307471,
+        ("C", 1, -1.0): 5.638325242014876, ("C", 1, 1.0): -3.7917422309036493,
+    }
+
+    def test_values_pinned(self):
+        cases = []
+        for seed, want in enumerate(self.PINNED_C4):
+            inst = generate_synthetic(seed, 5, "bounds-two-type", 1.0, demand=20.0,
+                                      arrival_prob=0.1, beta_p=-1.0, max_bundle_size=1)
+            cases.append((inst, singletons(inst), want))
+        bundled = OptionSet([(0, 1), (3, 2), (4,), (5,)])
+        for (scenario, seed, beta_p), want in self.PINNED_SCENARIOS.items():
+            inst = generate_synthetic(seed, 6, scenario, 1.0, beta_p=beta_p, salvage=0.3)
+            cases.append((inst, bundled, want))
+        for inst, option_set, want in cases:
+            got = static(inst, option_set).value
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
 
 class TestSandwich:
     def test_full_sandwich_small(self):
