@@ -14,7 +14,7 @@ from .errors import (
     UnknownScenario,
     ValidityWarning,
 )
-from .numerics import NumericTolerances, lambert_w0, lambert_w_exp, log_sum_exp
+from .numerics import lambert_w0, lambert_w_exp, log_sum_exp
 from .model import (
     BundleOption,
     ChoiceVector,
@@ -75,7 +75,6 @@ from .bundling import (
 )
 from .freight import (
     FreightCoeffs,
-    PricingPolicy,
     RegionModel,
     SimConfig,
     SimMetrics,

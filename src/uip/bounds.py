@@ -12,7 +12,8 @@ Bounds around the exact value V*:
 * fluid                 — the classical deterministic relaxation (upper),
                           evaluated through its Lagrangian dual, so the
                           reported value is a certified bound by itself.
-* static                — stationary-policy restriction (lower).
+* static                — stationary-policy restriction (lower), maximized
+                          by L-BFGS-B over unconstrained MNL logits.
 
 Values are reported in the instance's own sign convention (see pricing);
 orientation-sensitive steps (the tau^U extremum over types, monotonicity
@@ -22,7 +23,6 @@ internally.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,13 +35,9 @@ from .model import MarketInstance, OptionSet
 from .numerics import lambert_w_exp
 from .pricing import canonical_sign
 
-STATIC_MAX_ITER = 1500
-STATIC_STARTS = 8
-_RHO_FLOOR = 1e-9
-# L-BFGS-B tolerances of the fluid dual, and the relative duality gap at
-# which the fluid solve counts as converged
-_FLUID_FTOL = 1e-15
-_FLUID_GTOL = 1e-10
+# L-BFGS-B tolerances of the fluid dual and the static bound, and the
+# relative duality gap at which the fluid solve counts as converged
+_LBFGSB_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
 _FLUID_GAP_TOL = 1e-6
 
 
@@ -107,6 +103,17 @@ def _set_arrays(instance: MarketInstance, option_set: OptionSet):
     return q, xi, instance.customer.arrival_pmf, instance.customer.price_sensitivity
 
 
+def _closed_form_choice(score):
+    """Single-arrival closed form for every row of score (types, N): Gamma =
+    W(e^{lse(score) - 1}) per type and the optimal choice probabilities,
+    Gamma/(1+Gamma) times the softmax of the scores."""
+    m = score.max(axis=1)
+    e = np.exp(score - m[:, None])
+    total = e.sum(axis=1)
+    gam = lambert_w_exp(m + np.log(total) - 1.0)
+    return gam, (gam / ((1.0 + gam) * total))[:, None] * e
+
+
 def singleton_upper_profiles(instance: MarketInstance, options, horizon=None):
     """Individual upper bounds r_{t,i} and the homogenized trajectory tau^U
     for an arbitrary collection of options, all recursions in parallel.
@@ -158,19 +165,10 @@ def backward_lower(instance: MarketInstance, option_set: OptionSet) -> BoundResu
     individual values."""
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     mu = instance.arrival_prob
-    T = instance.horizon
-    n_types = q.shape[0]
     l = xi.astype(float).copy()
-    for _ in range(T):
-        incr = np.zeros_like(l)
-        for w in range(n_types):
-            score = q[w] + beta_p * l
-            m = score.max()
-            lse = m + math.log(np.sum(np.exp(score - m)))
-            gam = lambert_w_exp(lse - 1.0)
-            probs = (gam / (1.0 + gam)) * np.exp(score - m) / np.sum(np.exp(score - m))
-            incr += pmf[w] * probs * (-(1.0 + gam) / beta_p)
-        l = l + mu * incr
+    for _ in range(instance.horizon):
+        gam, rho = _closed_form_choice(q + beta_p * l[None, :])
+        l = l + mu * (pmf @ (rho * (-(1.0 + gam) / beta_p)[:, None]))
     return BoundResult(kind="lower_backward", value=float(l.sum()), per_option=l)
 
 
@@ -267,12 +265,7 @@ def _fluid_dual(nu, q, pmf, beta_c, xi_c, mu_t):
     marginal cost xi + nu: revenue -Gamma/beta, choice Gamma/(1+Gamma)
     times the softmax of the scores.
     """
-    score = q + beta_c * (xi_c + nu)[None, :]
-    m = score.max(axis=1)
-    e = np.exp(score - m[:, None])
-    total = e.sum(axis=1)
-    gam = lambert_w_exp(m + np.log(total) - 1.0)
-    rho = (gam / ((1.0 + gam) * total))[:, None] * e
+    gam, rho = _closed_form_choice(q + beta_c * (xi_c + nu)[None, :])
     g = xi_c.sum() + nu.sum() + mu_t * float(pmf @ (-gam / beta_c))
     return g, 1.0 - mu_t * (pmf @ rho), rho
 
@@ -303,7 +296,7 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
         jac=True,
         method="L-BFGS-B",
         bounds=[(0.0, None)] * n,
-        options={"ftol": _FLUID_FTOL, "gtol": _FLUID_GTOL},
+        options=_LBFGSB_OPTIONS,
     )
     g, _, rho = _fluid_dual(np.maximum(res.x, 0.0), *args)
     rho = rho / np.maximum(1.0, mu_t * (pmf @ rho))[None, :]
@@ -318,15 +311,25 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# static approximation (projected gradient, multistart)
+# static approximation (L-BFGS-B over MNL logits)
 # ---------------------------------------------------------------------------
 
 
-def _static_objective_grad(rho, q, pmf, beta_t, xi_t, mu, T):
-    rho0 = 1.0 - rho.sum(axis=1)
-    if np.any(rho0 <= 0.0) or np.any(rho <= 0.0):
-        return -np.inf, None
-    prices = (np.log(rho) - np.log(rho0)[:, None] - q) / beta_t
+def _static_objective_grad(z, q, pmf, beta_t, xi_t, mu, T):
+    """Canonical static objective f, its gradient and the choice
+    probabilities rho at logits z (types, N).
+
+    Type w chooses option i with rho_wi = e^{z_wi} / (1 + sum_j e^{z_wj}),
+    so every z is a feasible point, and the stationary price that induces
+    rho is (z - q) / beta. The gradient g = df/drho is mapped to the logits
+    by the softmax chain rule, df/dz_w = rho_w * (g_w - <g_w, rho_w>).
+    """
+    top = np.maximum(z.max(axis=1), 0.0)
+    e = np.exp(z - top[:, None])
+    denom = np.exp(-top) + e.sum(axis=1)
+    rho = e / denom[:, None]
+    rho0 = np.exp(-top) / denom  # from the logits: 1 - sum(rho) can round to 0
+    prices = (z - q) / beta_t
     m = pmf @ rho  # (N,)
     surv = np.exp(T * np.log1p(-mu * m))  # (1 - mu m)^T
     surv_prev = np.exp((T - 1) * np.log1p(-mu * m))
@@ -336,89 +339,59 @@ def _static_objective_grad(rho, q, pmf, beta_t, xi_t, mu, T):
     f = float(G @ R + surv @ xi_t)
     Hp = -T * mu * surv_prev  # d surv / d m
     cross = rho @ G  # per type: sum_i G_i rho_iw
-    grad = pmf[:, None] * (
+    g = pmf[:, None] * (
         Gp[None, :] * R[None, :]
         + Hp[None, :] * xi_t[None, :]
         + G[None, :] * (prices + 1.0 / beta_t)
         + (cross / (beta_t * rho0))[:, None]
     )
-    return f, grad
+    return f, rho * (g - np.sum(g * rho, axis=1)[:, None]), rho
 
 
-def _project_block(y, floor, total):
-    """Project one type's row onto {x >= floor, sum x <= total} (euclidean)."""
-    x = np.maximum(y, floor)
-    if x.sum() <= total:
-        return x
-    lo_t, hi_t = 0.0, float(np.max(y) - floor + 1.0)
-    for _ in range(100):
-        mid = 0.5 * (lo_t + hi_t)
-        s = np.maximum(y - mid, floor).sum()
-        if s > total:
-            lo_t = mid
-        else:
-            hi_t = mid
-    return np.maximum(y - hi_t, floor)
-
-
-def static(
-    instance: MarketInstance,
-    option_set: OptionSet,
-    n_starts: int = STATIC_STARTS,
-    max_iter: int = STATIC_MAX_ITER,
-    seed: int = 0,
-) -> BoundResult:
+def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     """Stationary-policy value: time-invariant choice probabilities.
 
-    Projected gradient ascent from several random starts; any feasible
-    point's objective is a valid lower bound (it never exceeds the static
-    optimum, which lower-bounds the exact value), so the best local optimum
-    is returned without a certificate.
+    Each type's choice probabilities are an MNL of free logits, which maps
+    R^{types x N} onto the interior of the feasible set, so the search is
+    one unconstrained L-BFGS-B run. It starts from the closed-form
+    single-arrival choice at marginal cost xi (the fluid dual's rho*(0)).
+    Every logit point is feasible, and its objective never exceeds the
+    static optimum, which lower-bounds the exact value; so value is a
+    certified lower bound however the solver stops. extra holds the final
+    rho, L-BFGS-B's success flag as converged, its iteration count, and the
+    largest absolute entry of the final logit gradient as grad_norm.
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
-    mu = instance.arrival_prob
-    T = instance.horizon
-    if T < 1:
+    if instance.horizon < 1:
         raise DomainError("static approximation needs T >= 1")
     sign = canonical_sign(beta_p)
     beta_c, xi_c = -abs(beta_p), sign * xi
-    n_types, n = q.shape
-    cap = 1.0 - 1e-9
-    rng = np.random.default_rng(seed)
+    args = (q, pmf, beta_c, xi_c, instance.arrival_prob, instance.horizon)
+    score = q + beta_c * xi_c[None, :]
+    gam, _ = _closed_form_choice(score)
 
-    best_f = -np.inf
-    best_rho = None
-    for _ in range(n_starts):
-        x = rng.uniform(0.05, 1.0, size=(n_types, n))
-        x *= rng.uniform(0.2, 0.9) / np.maximum(x.sum(axis=1), 1e-12)[:, None]
-        x = np.maximum(x, _RHO_FLOOR)
-        f, grad = _static_objective_grad(x, q, pmf, beta_c, xi_c, mu, T)
-        step = 0.5 / (1.0 + np.max(np.abs(grad)))
-        for _ in range(max_iter):
-            improved = False
-            for _ in range(40):
-                y = x + step * grad
-                x_new = np.vstack(
-                    [_project_block(y[w], _RHO_FLOOR, cap) for w in range(n_types)]
-                )
-                f_new, grad_new = _static_objective_grad(
-                    x_new, q, pmf, beta_c, xi_c, mu, T
-                )
-                if f_new > f:
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            move = float(np.max(np.abs(x_new - x)))
-            x, f, grad = x_new, f_new, grad_new
-            step *= 1.3
-            if move < 1e-12:
-                break
-        if f > best_f:
-            best_f, best_rho = f, x
+    def neg_objective(z):
+        f, grad, _ = _static_objective_grad(z.reshape(q.shape), *args)
+        return -f, -grad.ravel()
+
+    res = minimize(
+        neg_objective,
+        (score - 1.0 - gam[:, None]).ravel(),
+        jac=True,
+        method="L-BFGS-B",
+        options=_LBFGSB_OPTIONS,
+    )
+    f, grad, rho = _static_objective_grad(res.x.reshape(q.shape), *args)
     return BoundResult(
-        kind="static", value=sign * best_f, certified=True, extra={"rho": best_rho}
+        kind="static",
+        value=sign * f,
+        certified=True,
+        extra={
+            "rho": rho,
+            "converged": bool(res.success),
+            "iterations": int(res.nit),
+            "grad_norm": float(np.max(np.abs(grad))),
+        },
     )
 
 

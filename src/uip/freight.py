@@ -116,20 +116,6 @@ class FreightCoeffs:
         )
 
 
-@dataclass(frozen=True)
-class PricingPolicy:
-    """Single-load trajectory curvature plus the bundle pricing mode."""
-
-    kind: str = "custom_bundle"  # expiration_log | linear_bundle | custom_bundle
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
-        if self.kind not in ("expiration_log", "linear_bundle", "custom_bundle"):
-            raise ConfigError(f"unknown pricing policy kind {self.kind!r}")
-
-
 def _dist(a, b) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
 

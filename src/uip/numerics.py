@@ -1,6 +1,6 @@
 """Scalar numerics used throughout the pricing machinery.
 
-The principal-branch Lambert W function (Halley iteration), an
+The principal-branch Lambert W function (scipy's lambertw), an
 overflow-safe evaluation of W(e^x) (scipy's Wright omega on small arrays,
 Newton's method on large ones), and a weighted log-sum-exp. All three
 accept scalars or numpy arrays and are pure functions, so they are safe to
@@ -9,10 +9,8 @@ call from any number of concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import wrightomega
+from scipy.special import lambertw, wrightomega
 
 from .errors import DimensionMismatch, DomainError
 
@@ -20,73 +18,27 @@ _INV_E = np.exp(-1.0)
 
 # Largest array lambert_w_exp hands to wrightomega (see its docstring).
 _W_SMALL_MAX = 1024
+# Residual tolerance and iteration cap of lambert_w_exp's Newton path
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 64
 
 
-@dataclass(frozen=True)
-class NumericTolerances:
-    """Convergence control for the iterative solvers in this module."""
-
-    residual_tol: float = 1e-12
-    max_iter: int = 64
-
-    def __post_init__(self):
-        if not self.residual_tol > 0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = NumericTolerances()
-
-
-def lambert_w0(z, tol: NumericTolerances = DEFAULT_TOL):
+def lambert_w0(z):
     """Principal branch of the Lambert W function, the inverse of w -> w*e^w.
 
     Accepts a scalar or array with entries >= -1/e (a 1e-15 slack absorbs
-    rounding at the branch point). Initial guesses use the square-root series
-    near -1/e and the log-log asymptote for large arguments, refined by Halley
-    iteration until |w*e^w - z| <= residual_tol * (1 + |z|).
+    rounding at the branch point, where -1 is returned). The real part of
+    scipy.special.lambertw on branch 0; scipy gives nan at the float -1/e
+    itself, so the clamped branch point is set to -1 explicitly.
     """
     z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    zv = np.atleast_1d(z_arr).copy()
-
-    if np.any(np.isnan(zv)):
+    if np.any(np.isnan(z_arr)):
         raise DomainError("lambert_w0: nan argument")
-    low = zv < -_INV_E
-    if np.any(zv < -_INV_E - 1e-15):
+    if np.any(z_arr < -_INV_E - 1e-15):
         raise DomainError("lambert_w0: argument below -1/e")
-    zv[low] = -_INV_E  # clamp branch-point rounding noise
-
-    w = np.empty_like(zv)
-    near = zv < -0.25
-    big = zv > np.e
-    mid = ~(near | big)
-    if np.any(near):
-        # series around the branch point: w = -1 + p - p^2/3 + ..., p = sqrt(2(e z + 1))
-        p = np.sqrt(2.0 * (np.e * zv[near] + 1.0))
-        w[near] = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3
-    if np.any(big):
-        lz = np.log(zv[big])
-        w[big] = lz - np.log(lz)
-    if np.any(mid):
-        # w ~ z near 0; one fixed-point step tames the overshoot for z up to e
-        w[mid] = zv[mid] / (1.0 + zv[mid] * np.exp(-zv[mid] / (1.0 + zv[mid])))
-
-    target = tol.residual_tol * (1.0 + np.abs(zv))
-    for _ in range(tol.max_iter):
-        ew = np.exp(w)
-        f = w * ew - zv
-        if np.all(np.abs(f) <= target):
-            break
-        wp1 = w + 1.0
-        wp1 = np.where(np.abs(wp1) < 1e-300, 1e-300, wp1)
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w = w - step
-
-    w = np.maximum(w, -1.0)
-    return float(w[0]) if scalar else w.reshape(z_arr.shape)
+    at_branch = z_arr <= -_INV_E  # clamp branch-point rounding noise
+    w = np.where(at_branch, -1.0, lambertw(np.where(at_branch, 0.0, z_arr)).real)
+    return float(w) if z_arr.ndim == 0 else w
 
 
 def lambert_w_exp(x):
@@ -118,10 +70,10 @@ def lambert_w_exp(x):
     # h(u) = u + e^u - x is increasing and convex; starting where h >= 0
     # makes Newton decrease monotonically to the root without overshoot.
     u = np.where(x_arr >= 1.0, np.log(np.maximum(x_arr, 1.0)), x_arr)
-    for _ in range(DEFAULT_TOL.max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         eu = np.exp(u)
         h = u + eu - x_arr
-        done = np.all(np.abs(h) <= DEFAULT_TOL.residual_tol * (1.0 + np.abs(x_arr)))
+        done = np.all(np.abs(h) <= _NEWTON_TOL * (1.0 + np.abs(x_arr)))
         u = u - h / (1.0 + eu)
         if done:
             break

@@ -546,8 +546,6 @@ def bnb_solve(
     root is solved cold. The incumbent is seeded with the all-singletons
     partition when available so ties resolve toward not bundling.
     """
-    if len(milp.item_ids) > 64:
-        raise ValueError("item count exceeds the 64-item cap")
     n = len(milp.options)
     incumbent = None
     incumbent_obj = -np.inf

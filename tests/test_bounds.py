@@ -3,6 +3,7 @@ import pytest
 
 from uip.bounds import (
     PriceTrajectory,
+    _static_objective_grad,
     backward_lower,
     backward_upper,
     bound_suite,
@@ -303,6 +304,42 @@ class TestStatic:
         for inst, option_set, want in cases:
             got = static(inst, option_set).value
             assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    def test_logit_gradient_matches_central_differences(self):
+        instances = [
+            (random_instance(0, lam=3.0, salvage_max=0.5), None),
+            (generate_synthetic(1, 6, "B", 1.0, beta_p=1.0, salvage=0.3),
+             OptionSet([(0, 1), (3, 2), (4,), (5,)])),
+            (single_item_instance(q=0.4, salvage=0.2, demand=2.0, mu=0.5), None),
+        ]
+        rng = np.random.default_rng(7)
+        for inst, option_set in instances:
+            option_set = option_set or singletons(inst)
+            cust = inst.customer
+            s = canonical_sign(cust.price_sensitivity)
+            q = cust.quality_matrix(option_set.options)
+            xi = inst.salvage_vector(option_set.options)
+            args = (q, cust.arrival_pmf, -abs(cust.price_sensitivity), s * xi,
+                    inst.arrival_prob, inst.horizon)
+            z = rng.normal(-1.0, 1.0, size=q.shape)
+            _, grad, _ = _static_objective_grad(z, *args)
+            fd = np.empty_like(z)
+            h = 1e-6
+            for idx in np.ndindex(*z.shape):
+                step = np.zeros_like(z)
+                step[idx] = h
+                fd[idx] = (_static_objective_grad(z + step, *args)[0]
+                           - _static_objective_grad(z - step, *args)[0]) / (2 * h)
+            assert np.max(np.abs(fd - grad)) <= 1e-6 * np.max(np.abs(grad))
+
+    def test_reports_convergence(self):
+        inst = random_instance(2, lam=20.0)
+        res = static(inst, singletons(inst))
+        assert res.extra["converged"]
+        assert res.extra["iterations"] >= 1
+        assert res.extra["grad_norm"] < 1e-6
+        rho = res.extra["rho"]
+        assert np.all(rho > 0) and np.all(rho.sum(axis=1) < 1)
 
 
 class TestSandwich:

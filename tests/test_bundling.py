@@ -16,7 +16,7 @@ from uip.bundling import (
     min_empty_miles,
     optimality_gap,
 )
-from uip.errors import MissingFreightData, ValidityWarning
+from uip.errors import CapExceeded, MissingFreightData, ValidityWarning
 from uip.model import (
     CustomerModel,
     FreightItemData,
@@ -324,6 +324,16 @@ class TestMinEmptyMiles:
     def test_missing_freight(self):
         with pytest.raises(MissingFreightData):
             min_empty_miles([Item(0)], [1.0])
+
+    def test_more_than_64_loads(self):
+        # no item-count cap of its own: 65 loads without savings solve
+        chosen = min_empty_miles(self.make_loads(3, 65), [0.0] * 65)
+        assert len(chosen) == 65 and chosen.bundle_count == 0
+
+    def test_simplex_size_cap(self):
+        # 71 loads make 5,041 columns, past the simplex's 5,000-column cap
+        with pytest.raises(CapExceeded):
+            min_empty_miles(self.make_loads(4, 71), [10.0] * 71)
 
 
 def test_bundled_fraction_shrinks_with_horizon():

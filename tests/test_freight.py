@@ -7,7 +7,6 @@ import pytest
 from uip.errors import ConfigError, DomainError, MissingFreightData
 from uip.freight import (
     FreightCoeffs,
-    PricingPolicy,
     RegionModel,
     SimConfig,
     SupplyModel,
@@ -530,8 +529,6 @@ class TestConfigs:
                       topk_pmf=np.array([0.5, 0.4]))
         with pytest.raises(ConfigError):
             SupplyModel(rate=-1.0, lifetime=(5, 10))
-        with pytest.raises(ConfigError):
-            PricingPolicy(alpha=0.0)
 
     def test_config_json_roundtrip(self):
         import json

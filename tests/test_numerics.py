@@ -7,7 +7,6 @@ from uip.errors import DomainError
 import uip.numerics
 from uip.numerics import (
     _W_SMALL_MAX,
-    NumericTolerances,
     lambert_w0,
     lambert_w_exp,
     log_sum_exp,
@@ -163,9 +162,3 @@ def test_log_sum_exp_domain_errors():
     with pytest.raises(DomainError):
         log_sum_exp([1.0], [-0.5])
 
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        NumericTolerances(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        NumericTolerances(max_iter=0)
