@@ -351,3 +351,76 @@ def test_bundled_fraction_shrinks_with_horizon():
             shares.append(inside / 6.0)
         fractions.append(float(np.mean(shares)))
     assert fractions[0] >= fractions[1] - 1e-9 >= fractions[2] - 2e-9
+
+
+# Set-partitioning LP results on benchmark-size `bundle` inputs (L=8,
+# K_b=K_s=3), pinned bit for bit: a rewrite of the LP layer that keeps every
+# pivot and basis leaves them unchanged. `trace` is the first 16 hex digits
+# of the SHA-256 of the JSON list [[column items, master objective hex], ...].
+_CG_PINS = [
+    (0, "bb391a69843ac9e5", "0x1.a32cf900444eep+1", [(0, 2, 4), (1,), (3,), (5, 6, 7)],
+     [(0,), (1,), (2,), (3,), (4,), (5, 6, 7)], "0x1.0baf5ecf470eep+4", 51),
+    (1, "746784f4b1430d5c", "0x1.f1e5460163c28p+0", [(0, 3), (1, 4, 5), (2,), (6,), (7,)],
+     [(0, 3), (1,), (2,), (4,), (5,), (6,), (7,)], "0x1.142f001e88dfbp+4", 51),
+    (2, "d87f309e1f72510c", "0x1.dfb99e1d5c6f0p-1", [(0,), (1, 2, 5), (3,), (4,), (6,), (7,)],
+     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.d08f3ab1c4aaap+3", 51),
+    (3, "eacca8c76b5ec85d", "0x1.30665672e3c58p+0", [(0,), (1, 7), (2, 4, 6), (3,), (5,)],
+     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1066e65e312d0p+4", 51),
+    (4, "04517132e17da33c", "0x1.854b265b87312p+2", [(0, 1, 7), (2,), (3, 4, 5), (6,)],
+     [(0, 1, 7), (2,), (3, 4, 5), (6,)], "0x1.46275ef45fb2cp+4", 51),
+    (5, "e0677867cccf1029", "0x1.b7d7bdca8bbe4p+0", [(0, 1), (2,), (3,), (4,), (5, 6, 7)],
+     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1eebbdfcb6fa8p+4", 51),
+]
+
+# min_empty_miles on 10 random loads (TestMinEmptyMiles.make_loads(seed, 10),
+# deadheads uniform on [10, 80] from seed 100 + seed); these seeds branch, so
+# the dual-simplex re-solves of x_j <= 0 and x_j >= 1 rows are covered.
+_PAIRING_PINS = [
+    (4, [(0, 2), (5, 1), (6, 4), (8, 3), (9, 7)], 5),
+    (15, [(0, 4), (1,), (2, 6), (3, 7), (5,), (9, 8)], 5),
+    (31, [(0, 2), (1, 4), (5, 9), (6, 3), (8, 7)], 7),
+]
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    import uip.optim
+
+    calls = []
+    real = uip.optim.simplex_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(uip.optim, "simplex_solve", counted)
+    monkeypatch.setattr(uip.bundling, "simplex_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed,trace,last_master,chosen,zset,zstar,n_lp", _CG_PINS)
+def test_set_partitioning_lp_pins(simplex_calls, seed, trace, last_master, chosen, zset,
+                                  zstar, n_lp):
+    import hashlib
+    import json
+
+    inst = generate_synthetic(seed, 8, "B" if seed % 2 else "C", 2.0, demand=8.0,
+                              arrival_prob=0.1, max_bundle_size=3, max_bundles=3)
+    got_set, _, got_trace = column_generation(inst, ColumnGenConfig())
+    z_set, z = best_upper_bound_partition(inst)
+    doc = [[list(it.option.items), it.master_objective.hex()] for it in got_trace.iterations]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16] == trace
+    assert got_trace.iterations[-1].master_objective.hex() == last_master
+    assert sorted(o.items for o in got_set) == chosen
+    assert sorted(o.items for o in z_set) == zset
+    assert z.hex() == zstar
+    assert len(simplex_calls) == n_lp
+
+
+@pytest.mark.parametrize("seed,pairs,n_lp", _PAIRING_PINS)
+def test_min_empty_miles_pins(simplex_calls, seed, pairs, n_lp):
+    loads = TestMinEmptyMiles().make_loads(seed, 10)
+    ehat = list(np.random.default_rng(100 + seed).uniform(10, 80, 10))
+    chosen = min_empty_miles(loads, ehat)
+    assert sorted(o.items for o in chosen) == pairs
+    assert len(simplex_calls) == n_lp
