@@ -35,10 +35,12 @@ from .model import MarketInstance, OptionSet
 from .numerics import lambert_w_exp
 from .pricing import canonical_sign
 
-# L-BFGS-B tolerances of the fluid dual and the static bound, and the
-# relative duality gap at which the fluid solve counts as converged
+# L-BFGS-B tolerances of the fluid dual and the static bound, the relative
+# duality gap at which the fluid solve counts as converged, and the relative
+# logit-gradient size at which the static solve does (max(1, |f|) scale)
 _LBFGSB_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
 _FLUID_GAP_TOL = 1e-6
+_STATIC_GRAD_TOL = 1e-7
 
 
 @dataclass
@@ -358,8 +360,11 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     Every logit point is feasible, and its objective never exceeds the
     static optimum, which lower-bounds the exact value; so value is a
     certified lower bound however the solver stops. extra holds the final
-    rho, L-BFGS-B's success flag as converged, its iteration count, and the
-    largest absolute entry of the final logit gradient as grad_norm.
+    rho, L-BFGS-B's iteration count, the largest absolute entry of the final
+    logit gradient as grad_norm, and converged, a stationarity test:
+    grad_norm <= _STATIC_GRAD_TOL * max(1, |f|). L-BFGS-B's own success
+    flag is not used, since its line search can end abnormally at a point
+    that is already stationary.
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     if instance.horizon < 1:
@@ -382,15 +387,16 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
         options=_LBFGSB_OPTIONS,
     )
     f, grad, rho = _static_objective_grad(res.x.reshape(q.shape), *args)
+    grad_norm = float(np.max(np.abs(grad)))
     return BoundResult(
         kind="static",
         value=sign * f,
         certified=True,
         extra={
             "rho": rho,
-            "converged": bool(res.success),
+            "converged": bool(grad_norm <= _STATIC_GRAD_TOL * max(1.0, abs(f))),
             "iterations": int(res.nit),
-            "grad_norm": float(np.max(np.abs(grad))),
+            "grad_norm": grad_norm,
         },
     )
 

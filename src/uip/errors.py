@@ -1,5 +1,16 @@
 """Exception and warning types shared across the library, and the context
-manager that reports a malformed input document as ConfigError."""
+manager that reports a malformed input document as ConfigError.
+
+Policy for a solver that stops short of its tolerance:
+
+- A solver whose result is only valid once it has converged, and so cannot
+  certify it, raises: NumericalFailure when a certificate check fails (the
+  simplex), SolverStalled when an iteration cap is reached first (the
+  Newton path of lambert_w_exp).
+- A bound that stays certified however its solver stops (the fluid dual's
+  value, the static bound's feasible point) returns normally and reports
+  `converged` in BoundResult.extra.
+"""
 
 from contextlib import contextmanager
 

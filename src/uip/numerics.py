@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, SolverStalled
 
 _INV_E = np.exp(-1.0)
 
@@ -56,7 +56,9 @@ def lambert_w_exp(x):
     residual |u + e^u - x| passes, because for x << 0 that absolute test
     passes while g = e^u is still off by up to 1e-13 relative; with the
     extra step the two paths agree to a few ulps (3.7e-15 on [-50, -10]).
-    Both handle arguments far beyond ln(float_max). The map is
+    Newton raises SolverStalled if the residual test has not passed after
+    _NEWTON_MAX_ITER steps. Both handle arguments far beyond
+    ln(float_max). The map is
     strictly increasing and nonexpansive, which the backward recursions
     rely on.
     """
@@ -76,8 +78,8 @@ def lambert_w_exp(x):
         done = np.all(np.abs(h) <= _NEWTON_TOL * (1.0 + np.abs(x_arr)))
         u = u - h / (1.0 + eu)
         if done:
-            break
-    return np.exp(u)
+            return np.exp(u)
+    raise SolverStalled(f"lambert_w_exp: Newton not converged after {_NEWTON_MAX_ITER} steps")
 
 
 def log_sum_exp(values, weights=None):

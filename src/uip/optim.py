@@ -1,13 +1,16 @@
 """Dense LP (primal + dual), branch-and-bound and a k-best subset DP for set
 partitioning.
 
-The simplex is a two-phase dense tableau used to locate an optimal basis;
-the reported solution is then recomputed from that basis against the
-original data with a fresh linear solve, which keeps primal/dual residuals
-near machine precision at the sizes this library needs (column-generation
-masters and branch-and-bound nodes of a few hundred columns and a few dozen
-rows). A warm basis is re-entered through the primal simplex when it is
-primal feasible and through the dual simplex when it is only dual feasible.
+An LP is max c.x subject to A x (<= | = | >=) b and x >= 0, with A one
+dense matrix. The simplex is a two-phase dense tableau over
+[A | slacks | artificials], built once per solve with the >= rows negated,
+and used to locate an optimal basis; the reported solution is then
+recomputed from that basis against the original data with a fresh linear
+solve, which keeps primal/dual residuals near machine precision at the
+sizes this library needs (column-generation masters and branch-and-bound
+nodes of a few hundred columns and a few dozen rows). A warm basis is
+re-entered through the primal simplex when it is primal feasible and
+through the dual simplex when it is only dual feasible.
 
 The MILP solvers are intentionally narrow: binary set-partitioning problems
 with a cardinality row. bnb_solve finds one optimum best-first on the LP
@@ -26,7 +29,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, Infeasible, NumericalFailure, PartitionMismatch
+from .errors import (
+    CapExceeded,
+    DimensionMismatch,
+    DomainError,
+    Infeasible,
+    NumericalFailure,
+    PartitionMismatch,
+)
 from .model import BundleOption
 
 LE, EQ, GE = "<=", "=", ">="
@@ -37,43 +47,38 @@ _BLAND_AFTER = 1000
 
 @dataclass
 class LinearProgram:
-    """max objective . x subject to rows (coeffs, relation, rhs) and
-    per-variable bounds [lo, hi] with finite lo (hi may be None)."""
+    """max objective . x subject to A x (rels) b and x >= 0, where rels
+    holds one of LE, EQ, GE per row of A. All data must be finite."""
 
     objective: np.ndarray
-    constraints: list[tuple[np.ndarray, str, float]]
-    bounds: Optional[list[tuple[float, Optional[float]]]] = None
+    A: np.ndarray
+    rels: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.constraints = [
-            (np.asarray(a, dtype=float), rel, float(b)) for a, rel, b in self.constraints
-        ]
-        n = self.objective.size
-        if self.bounds is None:
-            self.bounds = [(0.0, None)] * n
-        if len(self.bounds) != n:
-            raise ValueError("bounds length must match variable count")
-        for lo, hi in self.bounds:
-            if not math.isfinite(lo):
-                raise ValueError("lower bounds must be finite")
-            if hi is not None and hi < lo:
-                raise ValueError("need lo <= hi")
-        for a, rel, _ in self.constraints:
-            if a.shape != (n,):
-                raise ValueError("constraint row length mismatch")
-            if rel not in (LE, EQ, GE):
-                raise ValueError(f"unknown relation {rel!r}")
+        self.A = np.asarray(self.A, dtype=float)
+        self.rels = np.asarray(self.rels, dtype=str)
+        self.b = np.asarray(self.b, dtype=float)
+        n, m = self.objective.size, self.b.size
+        shapes = (self.objective.shape, self.A.shape, self.rels.shape, self.b.shape)
+        if shapes != ((n,), (m, n), (m,), (m,)):
+            raise DimensionMismatch(
+                f"LP needs objective (n,), A (m, n), rels (m,), b (m,); got {shapes}"
+            )
+        if not set(self.rels.tolist()) <= {LE, EQ, GE}:
+            raise DomainError(f"unknown relation in {sorted(set(self.rels.tolist()))}")
+        for name in ("objective", "A", "b"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"LP {name} has a non-finite entry")
 
     def to_debug_json(self) -> str:
         return json.dumps(
             {
                 "objective": self.objective.tolist(),
-                "constraints": [
-                    {"coeffs": a.tolist(), "rel": rel, "rhs": b}
-                    for a, rel, b in self.constraints
-                ],
-                "bounds": [[lo, hi] for lo, hi in self.bounds],
+                "A": self.A.tolist(),
+                "rels": self.rels.tolist(),
+                "b": self.b.tolist(),
             }
         )
 
@@ -87,36 +92,6 @@ class LpSolution:
     reduced_costs: Optional[np.ndarray] = None
     basis: Optional[tuple] = None  # opaque warm-start token
     residuals: dict = field(default_factory=dict)
-
-
-def _canonical_form(lp: LinearProgram):
-    """Rewrite as max c.y with A y (<= | =) b, y >= 0: lower bounds shifted
-    out, finite upper bounds appended as rows, >= rows negated."""
-    n = lp.objective.size
-    lo = np.array([bd[0] for bd in lp.bounds])
-    rows, rels, rhs, tags = [], [], [], []
-    for k, (a, rel, b) in enumerate(lp.constraints):
-        shifted = b - float(a @ lo)
-        if rel == GE:
-            rows.append(-a)
-            rels.append(LE)
-            rhs.append(-shifted)
-            tags.append(("row", k, -1.0))
-        else:
-            rows.append(a)
-            rels.append(rel)
-            rhs.append(shifted)
-            tags.append(("row", k, 1.0))
-    for j, (l, h) in enumerate(lp.bounds):
-        if h is not None:
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append(e)
-            rels.append(LE)
-            rhs.append(h - l)
-            tags.append(("ub", j, 1.0))
-    A = np.array(rows) if rows else np.zeros((0, n))
-    return A, rels, np.array(rhs, dtype=float), tags, lo
 
 
 def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int):
@@ -279,21 +254,16 @@ def _solve_warm(M, b, c, n, n_slack, basis):
     return status, (basis if status == "optimal" else None)
 
 
-def _solve_canonical(A, rels, b, c, warm_token=None):
-    """Two-phase tableau simplex, or a warm re-entry (_solve_warm). Returns
-    (status, basis) with basis indices into the columns of
-    [A | slacks | artificials]."""
-    m, n = A.shape
-    slack_rows = [i for i, r in enumerate(rels) if r == LE]
+def _solve_canonical(M, b, c, slack_rows, warm_token=None):
+    """Two-phase tableau simplex over the columns of M = [A | slacks |
+    artificials] (rows with a slack are <=, the others =), or a warm
+    re-entry (_solve_warm). Returns (status, basis) with basis indices into
+    the columns of M."""
+    m = M.shape[0]
+    n = c.size
     n_slack = len(slack_rows)
-    M = np.zeros((m, n + n_slack + m))
-    M[:, :n] = A
-    for k, i in enumerate(slack_rows):
-        M[i, n + k] = 1.0
-    for i in range(m):
-        M[i, n + n_slack + i] = 1.0
 
-    if warm_token is not None and m > 0:
+    if warm_token is not None:
         warm = _solve_warm(M, b, c, n, n_slack, _decode_basis(warm_token, n, slack_rows))
         if warm is not None:
             return warm
@@ -323,154 +293,103 @@ def _solve_canonical(A, rels, b, c, warm_token=None):
     return "optimal", basis
 
 
-def _recompute_from_basis(A, rels, b, c, basis):
-    """Exact primal/dual for a basis, solved against the original data."""
-    m, n = A.shape
-    slack_rows = [i for i, r in enumerate(rels) if r == LE]
-    n_slack = len(slack_rows)
-    M = np.zeros((m, n + n_slack + m))
-    M[:, :n] = A
-    for k, i in enumerate(slack_rows):
-        M[i, n + k] = 1.0
-    for i in range(m):
-        M[i, n + n_slack + i] = 1.0
-    cost = np.zeros(n + n_slack + m)
-    cost[:n] = c
+def _recompute_from_basis(M, b, c, basis):
+    """Exact primal x and canonical duals for a basis, solved against M."""
+    cost = np.zeros(M.shape[1])
+    cost[: c.size] = c
     B = M[:, basis]
-    xb = np.linalg.solve(B, b)
-    y = np.linalg.solve(B.T, cost[basis])
-    x_full = np.zeros(n + n_slack + m)
-    x_full[basis] = xb
-    return x_full[:n], y, slack_rows
+    x_full = np.zeros(M.shape[1])
+    x_full[basis] = np.linalg.solve(B, b)
+    return x_full[: c.size], np.linalg.solve(B.T, cost[basis])
 
 
 def simplex_solve(lp: LinearProgram, warm_basis=None) -> LpSolution:
-    """Solve a dense LP. The returned primal/dual pair satisfies feasibility,
-    complementary slackness, and strong duality to tight tolerances
-    (NumericalFailure beyond 1e-7).
+    """Solve max c.x subject to A x (rels) b, x >= 0. The returned
+    primal/dual pair satisfies feasibility, complementary slackness, and
+    strong duality to tight tolerances (NumericalFailure beyond 1e-7 or on
+    a non-finite residual). duals[i] is the multiplier of row i: >= 0 on a
+    <= row, <= 0 on a >= row.
 
     warm_basis is the `basis` token of an earlier solution, possibly
-    extended for constraints appended since: ("s", k) makes the slack of
-    constraint k basic. (Rows for finite variable upper bounds follow the
-    constraints, so appending shifts them; extend only bound-free LPs.) A
-    basis that is primal feasible for this LP continues with the primal
-    simplex (e.g. after adding columns); one that is primal infeasible but
-    dual feasible (e.g. after adding a row the old optimum violates) runs
-    the dual simplex first; any other token, or one that no longer fits
-    the LP, is ignored and the LP is solved cold. The certificate check is
-    the same on every path.
+    extended for rows appended since: ("s", k) makes the slack of row k
+    basic. A basis that is primal feasible for this LP continues with the
+    primal simplex (e.g. after adding columns); one that is primal
+    infeasible but dual feasible (e.g. after adding a row the old optimum
+    violates) runs the dual simplex first; any other token, or one that no
+    longer fits the LP, is ignored and the LP is solved cold. The
+    certificate check is the same on every path.
     """
-    n = lp.objective.size
-    if n > 5000 or len(lp.constraints) > 2000:
+    m, n = lp.A.shape
+    if n > 5000 or m > 2000:
         raise CapExceeded(
-            f"LP with {n} variables and {len(lp.constraints)} constraints exceeds "
+            f"LP with {n} variables and {m} constraints exceeds "
             "the dense-solver size cap (5000 and 2000)"
         )
-    A, rels, b, tags, lo = _canonical_form(lp)
-    c = lp.objective.copy()
-
-    if A.shape[0] == 0:  # only bounds; unbounded unless objective <= 0
+    c = lp.objective
+    if m == 0:  # only x >= 0; unbounded unless objective <= 0
         if np.any(c > 0):
             return LpSolution(status="unbounded")
-        x = lo.copy()
+        x = np.zeros(n)
         return LpSolution(
             status="optimal", primal=x, duals=np.zeros(0), objective=float(c @ x),
             reduced_costs=c.copy(), basis=(),
         )
 
-    status, basis = _solve_canonical(A, rels, b, c, warm_token=warm_basis)
+    # canonical form: >= rows negated into <= rows, then [A | slacks | artificials]
+    sign = np.where(lp.rels == GE, -1.0, 1.0)
+    b = sign * lp.b
+    slack_rows = np.flatnonzero(lp.rels != EQ).tolist()
+    n_slack = len(slack_rows)
+    M = np.zeros((m, n + n_slack + m))
+    M[:, :n] = sign[:, None] * lp.A
+    M[slack_rows, n + np.arange(n_slack)] = 1.0
+    M[np.arange(m), n + n_slack + np.arange(m)] = 1.0
+
+    status, basis = _solve_canonical(M, b, c, slack_rows, warm_token=warm_basis)
     if status != "optimal":
         return LpSolution(status=status)
 
-    x_canon, y_canon, slack_rows = _recompute_from_basis(A, rels, b, c, basis)
-    x_canon = np.where(np.abs(x_canon) < 1e-11, 0.0, x_canon)
-
-    x = x_canon + lo
-    duals = np.zeros(len(lp.constraints))
-    ub_duals = np.zeros(n)
-    for i, (kind, k, s) in enumerate(tags):
-        if kind == "row":
-            duals[k] = s * y_canon[i]
-        else:
-            ub_duals[k] = y_canon[i]
-    if lp.constraints:
-        rowmat = np.array([a for a, _, _ in lp.constraints])
-        reduced = c - rowmat.T @ duals
-    else:
-        reduced = c.copy()
-
+    x, y = _recompute_from_basis(M, b, c, basis)
+    x = np.where(np.abs(x) < 1e-11, 0.0, x)
+    duals = sign * y
     sol = LpSolution(
         status="optimal",
         primal=x,
         duals=duals,
         objective=float(c @ x),
-        reduced_costs=reduced,
+        reduced_costs=c - lp.A.T @ duals,
         basis=_encode_basis(basis, n, slack_rows),
     )
-    sol.residuals = lp_residuals(lp, sol, ub_duals)
-    worst = max(sol.residuals.values())
-    if worst > 1e-7:
+    sol.residuals = _lp_residuals(lp, sol)
+    worst = float(np.max(list(sol.residuals.values())))
+    if not worst <= 1e-7:
         raise NumericalFailure(
             f"LP certificate residual {worst:.2e} exceeds 1e-7; dump: {lp.to_debug_json()[:400]}"
         )
     return sol
 
 
-def lp_residuals(lp: LinearProgram, sol: LpSolution, ub_duals=None) -> dict:
-    """Violation magnitudes of the LP optimality system (all should be ~0).
+def _lp_residuals(lp: LinearProgram, sol: LpSolution) -> dict:
+    """Violation magnitudes of the LP optimality system (all should be ~0):
+    primal feasibility (rows and x >= 0), the sign conditions of the row
+    duals, dual feasibility c - A'y <= 0, complementary slackness of the
+    inequality rows and of x >= 0 (multiplier max(A'y - c, 0)), and the
+    primal-dual gap. A NaN anywhere propagates to its entry."""
+    x, y, d = sol.primal, sol.duals, sol.reduced_costs
+    slack = lp.b - lp.A @ x
+    le, ge = lp.rels == LE, lp.rels == GE
+    row_violation = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
 
-    Builds the bound multipliers (u at upper bounds, w at lower bounds) from
-    the reduced costs and measures primal feasibility, dual feasibility and
-    sign conditions, complementary slackness, and the primal-dual gap.
-    """
-    x, y = sol.primal, sol.duals
-    n = lp.objective.size
-    lo = np.array([bd[0] for bd in lp.bounds])
-    hi = np.array([np.inf if bd[1] is None else bd[1] for bd in lp.bounds])
-    d = sol.reduced_costs
+    def worst(v):
+        return float(np.max(v, initial=0.0))
 
-    if ub_duals is None:
-        ub_duals = np.where((np.isfinite(hi)) & (x >= hi - 1e-9) & (d > 0), d, 0.0)
-    u = ub_duals
-    rc = d - u  # canonical reduced cost; w = max(-rc, 0) completes stationarity
-    w = np.maximum(-rc, 0.0)
-
-    primal = 0.0
-    slack_comp = 0.0
-    dual_sign = 0.0
-    dual_obj = 0.0
-    for (a, rel, rhs), yi in zip(lp.constraints, y):
-        ax = float(a @ x)
-        if rel == LE:
-            primal = max(primal, ax - rhs)
-            dual_sign = max(dual_sign, -yi)
-            slack_comp = max(slack_comp, abs(yi * (rhs - ax)))
-        elif rel == GE:
-            primal = max(primal, rhs - ax)
-            dual_sign = max(dual_sign, yi)
-            slack_comp = max(slack_comp, abs(yi * (rhs - ax)))
-        else:
-            primal = max(primal, abs(ax - rhs))
-        dual_obj += yi * rhs
-    primal = max(primal, float(np.max(lo - x, initial=0.0)))
-    finite_hi = np.isfinite(hi)
-    if np.any(finite_hi):
-        primal = max(primal, float(np.max((x - hi)[finite_hi], initial=0.0)))
-
-    dual_sign = max(dual_sign, float(np.max(-u, initial=0.0)))
-    dual_feas = float(np.max(rc, initial=0.0))  # need c - A'y - u <= 0 up to w
-    var_comp = float(np.max(np.abs(u * np.where(finite_hi, hi - x, 0.0)), initial=0.0))
-    var_comp = max(var_comp, float(np.max(np.abs(w * (x - lo)), initial=0.0)))
-
-    dual_obj += float(np.sum(u[finite_hi] * hi[finite_hi])) - float(np.sum(w * lo))
-    gap = abs(sol.objective - dual_obj)
     return {
-        "primal": float(primal),
-        "dual_sign": float(dual_sign),
-        "dual_feasibility": float(dual_feas),
-        "slack_complementarity": float(slack_comp),
-        "variable_complementarity": float(var_comp),
-        "duality_gap": float(gap),
+        "primal": worst(np.append(row_violation, -x)),
+        "dual_sign": worst(np.where(le, -y, np.where(ge, y, 0.0))),
+        "dual_feasibility": worst(d),
+        "slack_complementarity": worst(np.abs(y * slack)[le | ge]),
+        "variable_complementarity": worst(np.abs(np.maximum(-d, 0.0) * x)),
+        "duality_gap": abs(sol.objective - float(y @ lp.b)),
     }
 
 
@@ -493,7 +412,7 @@ class SetPartitionMilp:
         self.rewards = np.asarray(self.rewards, dtype=float)
         self.item_ids = list(self.item_ids)
         if self.rewards.shape != (len(self.options),):
-            raise ValueError("one reward per option required")
+            raise DimensionMismatch("one reward per option required")
         covered = set()
         for o in self.options:
             covered.update(o.items)
@@ -505,13 +424,19 @@ class SetPartitionMilp:
             raise PartitionMismatch(f"options hold items {extra} outside item_ids")
 
     def base_lp(self) -> LinearProgram:
-        rows = []
-        for l in self.item_ids:
-            a = np.array([1.0 if l in o.items else 0.0 for o in self.options])
-            rows.append((a, EQ, 1.0))
-        bundle_row = np.array([1.0 if o.cardinality > 1 else 0.0 for o in self.options])
-        rows.append((bundle_row, LE, float(self.max_bundles)))
-        return LinearProgram(objective=self.rewards.copy(), constraints=rows)
+        """One = row per item (in item_ids order), then the <= row
+        counting bundles."""
+        pos = {l: k for k, l in enumerate(self.item_ids)}
+        m = len(self.item_ids)
+        A = np.zeros((m + 1, len(self.options)))
+        A[
+            [pos[l] for o in self.options for l in o.items],
+            [j for j, o in enumerate(self.options) for _ in o.items],
+        ] = 1.0
+        A[m] = [o.cardinality > 1 for o in self.options]
+        return LinearProgram(
+            self.rewards, A, [EQ] * m + [LE], np.append(np.ones(m), self.max_bundles)
+        )
 
     def singleton_assignment(self) -> Optional[np.ndarray]:
         """The all-singletons partition as an assignment, if representable."""
@@ -525,11 +450,17 @@ class SetPartitionMilp:
         return z
 
 
-def _branch_row(n: int, j: int, v: int):
-    """x_j <= 0 for the 0-branch, x_j >= 1 for the 1-branch."""
-    e = np.zeros(n)
-    e[j] = 1.0
-    return (e, LE, 0.0) if v == 0 else (e, GE, 1.0)
+def _branch_lp(base: LinearProgram, fixings) -> LinearProgram:
+    """The root LP with one unit row per fixing (j, v) stacked below it:
+    x_j <= 0 for the 0-branch, x_j >= 1 for the 1-branch."""
+    rows = np.zeros((len(fixings), base.objective.size))
+    rows[np.arange(len(fixings)), [j for j, _ in fixings]] = 1.0
+    return LinearProgram(
+        base.objective,
+        np.vstack([base.A, rows]),
+        base.rels.tolist() + [GE if v else LE for _, v in fixings],
+        np.append(base.b, [float(v) for _, v in fixings]),
+    )
 
 
 def bnb_solve(
@@ -540,13 +471,12 @@ def bnb_solve(
 
     Nodes are ordered by LP relaxation bound (ties by creation index);
     branching fixes the most fractional variable (ties by lowest option
-    index). A fixing is a row appended to the root LP, x_j <= 0 or
-    x_j >= 1, so a child differs from its parent by one row and is
+    index). A fixing is a unit row stacked onto the root LP's matrix,
+    x_j <= 0 or x_j >= 1, so a child differs from its parent by one row and is
     re-solved by the dual simplex from the parent's optimal basis; the
     root is solved cold. The incumbent is seeded with the all-singletons
     partition when available so ties resolve toward not bundling.
     """
-    n = len(milp.options)
     incumbent = None
     incumbent_obj = -np.inf
     z0 = milp.singleton_assignment()
@@ -562,9 +492,7 @@ def bnb_solve(
         neg_bound, _, fixings, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_obj + 1e-9 and math.isfinite(neg_bound):
             continue
-        lp = LinearProgram(
-            base.objective, base.constraints + [_branch_row(n, j, v) for j, v in fixings]
-        )
+        lp = _branch_lp(base, fixings)
         sol = simplex_solve(lp, warm_basis=warm)
         if sol.status != "optimal":
             continue
@@ -583,7 +511,7 @@ def bnb_solve(
         # most fractional, ties by lowest option index
         best_frac = frac[j_star]
         j_star = int(np.flatnonzero(frac >= best_frac - 1e-12)[0])
-        child_basis = sol.basis + (("s", len(lp.constraints)),)
+        child_basis = sol.basis + (("s", lp.b.size),)
         for v in (0, 1):
             counter += 1
             heapq.heappush(heap, (-bound, counter, fixings + ((j_star, v),), child_basis))
@@ -614,7 +542,7 @@ def enumerate_top_solutions(
     bundles. Raises CapExceeded beyond _TOP_STATE_CAP states.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     if milp.max_bundles < 0:
         return []
     pos = {l: k for k, l in enumerate(milp.item_ids)}

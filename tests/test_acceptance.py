@@ -290,7 +290,9 @@ def test_criterion_10_milp_and_simplex():
                 coeff = np.abs(coeff)  # keep it feasible-ish
                 rhs = float(rng.uniform(0.1, 0.5))
             rows.append((coeff, rel, rhs))
-        lp = LinearProgram(rng.uniform(-1, 1, n), rows, bounds=[(0.0, 2.0)] * n)
+        rows += [(e, LE, 2.0) for e in np.eye(n)]  # x_j <= 2
+        lp = LinearProgram(rng.uniform(-1, 1, n), np.array([a for a, _, _ in rows]),
+                           [rel for _, rel, _ in rows], [b for _, _, b in rows])
         sol = simplex_solve(lp)
         if sol.status == "optimal":
             solved += 1

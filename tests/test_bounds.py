@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import uip.bounds
+
 from uip.bounds import (
     PriceTrajectory,
     _static_objective_grad,
@@ -340,6 +342,28 @@ class TestStatic:
         assert res.extra["grad_norm"] < 1e-6
         rho = res.extra["rho"]
         assert np.all(rho > 0) and np.all(rho.sum(axis=1) < 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2, 4, "bounds-two-type", 1.2, dict(demand=8, beta_p=-1.3, salvage=0.2)),
+            (2, 4, "B", 1.2, dict(demand=2, beta_p=0.8, salvage=0.2)),
+        ],
+    )
+    def test_stationary_point_counts_as_converged(self, args):
+        # L-BFGS-B ends these with an abnormal line search at grad_norm
+        # 1.0e-8 and 3.7e-9; converged is a stationarity test, not its flag
+        inst = generate_synthetic(*args[:4], **args[4])
+        res = static(inst, singletons(inst))
+        assert res.extra["grad_norm"] < 1e-7
+        assert res.extra["converged"] is True
+
+    def test_stopped_early_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(uip.bounds, "_LBFGSB_OPTIONS", {"maxiter": 1})
+        inst = random_instance(2, lam=20.0)
+        res = static(inst, singletons(inst))
+        assert res.extra["converged"] is False
+        assert res.value <= exact_dp(inst, singletons(inst)).value() + 1e-9
 
 
 class TestSandwich:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uip.errors import DomainError
+from uip.errors import DomainError, SolverStalled
 import uip.numerics
 from uip.numerics import (
     _W_SMALL_MAX,
@@ -96,6 +96,12 @@ def test_w_exp_increasing_and_nonexpansive():
 def test_w_exp_rejects_nonfinite():
     with pytest.raises(DomainError):
         lambert_w_exp(np.inf)
+
+
+def test_w_exp_newton_cap_raises(monkeypatch):
+    monkeypatch.setattr(uip.numerics, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(SolverStalled):
+        lambert_w_exp(np.linspace(-3.0, 30.0, _W_SMALL_MAX + 1))
 
 
 @pytest.fixture

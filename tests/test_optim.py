@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import uip.optim
-from uip.errors import CapExceeded, Infeasible, PartitionMismatch
+from uip.errors import (
+    CapExceeded,
+    DimensionMismatch,
+    DomainError,
+    Infeasible,
+    NumericalFailure,
+    PartitionMismatch,
+)
 from uip.model import BundleOption, enumerate_options, generate_synthetic
 from uip.optim import (
     EQ,
@@ -20,18 +27,23 @@ from uip.optim import (
 from uip.pricing import enumerate_partitions
 
 
+def rows_lp(c, rows):
+    """LinearProgram from a list of (coeffs, relation, rhs) rows."""
+    c = np.asarray(c, float)
+    A = np.array([a for a, _, _ in rows]).reshape(len(rows), c.size)
+    return LinearProgram(c, A, [rel for _, rel, _ in rows], [b for _, _, b in rows])
+
+
+def box_rows(n, hi):
+    """Rows x_j <= hi, j = 0..n-1."""
+    return [(e, LE, hi) for e in np.eye(n)]
+
+
 def vertex_oracle(lp: LinearProgram):
     """Enumerate candidate basic points from all active-set combinations."""
     n = lp.objective.size
-    planes = []
-    for a, rel, b in lp.constraints:
-        planes.append((np.asarray(a, float), rel, float(b)))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        planes.append((e, "lo", lo))
-        if hi is not None:
-            planes.append((e, "hi", hi))
+    planes = [(a, rel, float(b)) for a, rel, b in zip(lp.A, lp.rels, lp.b)]
+    planes += [(e, GE, 0.0) for e in np.eye(n)]  # x >= 0
     best = None
     eqs = [(a, b) for a, rel, b in planes if rel == EQ]
     frees = [(a, rel, b) for a, rel, b in planes if rel != EQ]
@@ -54,10 +66,6 @@ def vertex_oracle(lp: LinearProgram):
                 ok = False
             elif rel == EQ and abs(v - bb) > 1e-9:
                 ok = False
-            elif rel == "lo" and v < bb - 1e-9:
-                ok = False
-            elif rel == "hi" and v > bb + 1e-9:
-                ok = False
             if not ok:
                 break
         if ok:
@@ -69,25 +77,21 @@ def vertex_oracle(lp: LinearProgram):
 
 class TestSimplex:
     def test_box(self):
-        sol = simplex_solve(LinearProgram([1.0], [(np.array([1.0]), LE, 1.0)]))
+        sol = simplex_solve(LinearProgram([1.0], [[1.0]], [LE], [1.0]))
         assert sol.status == "optimal"
         assert sol.primal[0] == pytest.approx(1.0)
         assert sol.objective == pytest.approx(1.0)
         assert sol.duals[0] == pytest.approx(1.0)
 
     def test_equality_dual(self):
-        sol = simplex_solve(
-            LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), EQ, 1.0)])
-        )
+        sol = simplex_solve(LinearProgram([1.0, 1.0], [[1.0, 1.0]], [EQ], [1.0]))
         assert sol.objective == pytest.approx(1.0)
         assert sol.duals[0] == pytest.approx(1.0)
 
     def test_statuses(self):
-        infeas = LinearProgram(
-            [1.0], [(np.array([1.0]), GE, 2.0), (np.array([1.0]), LE, 1.0)]
-        )
+        infeas = LinearProgram([1.0], [[1.0], [1.0]], [GE, LE], [2.0, 1.0])
         assert simplex_solve(infeas).status == "infeasible"
-        unb = LinearProgram([1.0], [(np.array([-1.0]), LE, 1.0)])
+        unb = LinearProgram([1.0], [[-1.0]], [LE], [1.0])
         assert simplex_solve(unb).status == "unbounded"
 
     def test_random_vs_vertex_oracle(self):
@@ -101,7 +105,7 @@ class TestSimplex:
                 rows.append((rng.uniform(-1, 1, n), LE, float(rng.uniform(0.3, 2))))
             if rng.random() < 0.4:
                 rows.append((rng.uniform(0, 1, n) + 0.2, EQ, float(rng.uniform(0.5, 1.5))))
-            lp = LinearProgram(c, rows, bounds=[(0.0, 2.0)] * n)
+            lp = rows_lp(c, rows + box_rows(n, 2.0))
             sol = simplex_solve(lp)
             oracle = vertex_oracle(lp)
             if sol.status == "optimal":
@@ -121,7 +125,7 @@ class TestSimplex:
                 (rng.uniform(-1, 1, n), LE, float(rng.uniform(0.5, 2.0)))
                 for _ in range(m)
             ]
-            lp = LinearProgram(rng.uniform(-1, 1, n), rows, bounds=[(0.0, 3.0)] * n)
+            lp = rows_lp(rng.uniform(-1, 1, n), rows + box_rows(n, 3.0))
             sol = simplex_solve(lp)
             assert sol.status == "optimal"
             assert max(sol.residuals.values()) <= 1e-9
@@ -131,7 +135,7 @@ class TestSimplex:
         n = 4
         c = rng.uniform(0, 1, n)
         rows = [(np.ones(n), LE, 2.0), (rng.uniform(0, 1, n), LE, 1.0)]
-        lp = LinearProgram(c.copy(), [(r[0].copy(), r[1], r[2]) for r in rows])
+        lp = rows_lp(c.copy(), [(r[0].copy(), r[1], r[2]) for r in rows])
         sol = simplex_solve(lp)
         # append a column and re-solve warm vs cold
         c2 = np.append(c, 2.0)
@@ -139,14 +143,12 @@ class TestSimplex:
             (np.append(rows[0][0], 1.0), LE, 2.0),
             (np.append(rows[1][0], 0.3), LE, 1.0),
         ]
-        lp2 = LinearProgram(c2, rows2)
+        lp2 = rows_lp(c2, rows2)
         warm = simplex_solve(lp2, warm_basis=sol.basis)
         cold = simplex_solve(lp2)
         assert warm.objective == pytest.approx(cold.objective, abs=1e-10)
 
     def test_dual_warm_start_after_one_added_row(self, monkeypatch):
-        # No finite variable bounds: their canonical rows would come after
-        # the appended row and shift its index.
         dual_runs = []
         real = uip.optim._run_dual_simplex
 
@@ -165,7 +167,7 @@ class TestSimplex:
             ]
             if rng.random() < 0.5:
                 rows.append((rng.uniform(0.1, 1.0, n), EQ, float(rng.uniform(0.5, 1.5))))
-            lp = LinearProgram(rng.uniform(-0.2, 1.0, n), rows)
+            lp = rows_lp(rng.uniform(-0.2, 1.0, n), rows)
             parent = simplex_solve(lp)
             if parent.status != "optimal":
                 continue
@@ -184,10 +186,8 @@ class TestSimplex:
                 if a @ x < 1e-6:
                     continue
                 row = (a, LE, 0.8 * float(a @ x))
-            child = LinearProgram(lp.objective, lp.constraints + [row])
-            warm = simplex_solve(
-                child, warm_basis=parent.basis + (("s", len(lp.constraints)),)
-            )
+            child = rows_lp(lp.objective, rows + [row])
+            warm = simplex_solve(child, warm_basis=parent.basis + (("s", len(rows)),))
             cold = simplex_solve(child)
             assert warm.status == cold.status
             statuses.append(cold.status)
@@ -199,13 +199,60 @@ class TestSimplex:
 
     def test_size_cap(self):
         with pytest.raises(CapExceeded):
-            simplex_solve(LinearProgram(np.ones(5001), []))
+            simplex_solve(LinearProgram(np.ones(5001), np.zeros((0, 5001)), [], []))
 
     def test_debug_dump_parses(self):
         import json
 
-        lp = LinearProgram([1.0], [(np.array([1.0]), LE, 1.0)])
+        lp = LinearProgram([1.0], [[1.0]], [LE], [1.0])
         json.loads(lp.to_debug_json())
+
+
+class TestLpValidation:
+    @pytest.mark.parametrize(
+        "c,A,b",
+        [
+            ([1.0, 0.0], [[1.0, 1.0]], [np.nan]),  # was "optimal" with primal [nan, 0]
+            ([1.0, 0.0], [[np.inf, 1.0]], [1.0]),  # was "infeasible"
+            ([np.nan, 1.0], [[1.0, 1.0]], [1.0]),  # spun 50,000 pivots
+        ],
+    )
+    def test_non_finite_data_rejected(self, c, A, b):
+        with pytest.raises(DomainError):
+            LinearProgram(c, A, [LE], b)
+
+    @pytest.mark.parametrize(
+        "c,A,rels,b",
+        [
+            ([1.0, 0.0], [[1.0, 1.0, 1.0]], [LE], [1.0]),  # A has a column too many
+            ([1.0, 0.0], [[1.0, 1.0]], [LE, LE], [1.0]),  # one relation too many
+            ([1.0, 0.0], [1.0, 1.0], [LE], [1.0]),  # A is not a matrix
+        ],
+    )
+    def test_shape_mismatch_rejected(self, c, A, rels, b):
+        with pytest.raises(DimensionMismatch):
+            LinearProgram(c, A, rels, b)
+
+    def test_unknown_relation_rejected(self):
+        with pytest.raises(ValueError):
+            LinearProgram([1.0], [[1.0]], ["<"], [1.0])
+
+    def test_nan_residual_fails_the_certificate(self, monkeypatch):
+        # a NaN after a 0.0 is what max() over Python floats drops
+        monkeypatch.setattr(
+            uip.optim, "_lp_residuals", lambda lp, sol: {"primal": 0.0, "duality_gap": np.nan}
+        )
+        with pytest.raises(NumericalFailure):
+            simplex_solve(LinearProgram([1.0], [[1.0]], [LE], [1.0]))
+
+    def test_milp_reward_count_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            SetPartitionMilp([BundleOption((0,))], [0.0, 1.0], [0], 1)
+
+    def test_top_solutions_need_n_at_least_one(self):
+        milp = SetPartitionMilp([BundleOption((0,))], [0.0], [0], 1)
+        with pytest.raises(DomainError):
+            enumerate_top_solutions(milp, 0)
 
 
 def criterion_10_milp(trial, rng):
