@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -13,8 +15,11 @@ from uip.model import (
     mnl_choice,
     singletons,
 )
-from uip.numerics import lambert_w0
+from uip.bounds import singleton_upper_profiles
+from uip.model import enumerate_options
+from uip.numerics import lambert_w0, lambert_w_exp
 from uip.pricing import (
+    _member_tables,
     asymptotic_profile,
     bundling_condition,
     cumulative_aggregated_utility,
@@ -378,3 +383,100 @@ def test_exhaustive_best_partition_deterministic_ties():
     again, val2, _ = exhaustive_best_partition(inst)
     assert best.canonical() == again.canonical()
     assert val == val2
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit pins of the backward recursions
+# ---------------------------------------------------------------------------
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 prefix of the arrays' float64 bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _three_type_instance():
+    """Three customer types, the middle one with zero arrival weight."""
+    table = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 4))
+    cust = CustomerModel(types=(0, 1, 2), arrival_pmf=[0.25, 0.0, 0.75],
+                         price_sensitivity=-1.3,
+                         quality=lambda o, w: float(sum(table[w, i] for i in o.items)))
+    return MarketInstance(items=tuple(Item(i, salvage=0.1 * i) for i in range(4)),
+                          customer=cust, demand=6.0, arrival_prob=0.2,
+                          max_bundles=2, max_bundle_size=2)
+
+
+def _pinned_case(name):
+    """(instance, option set) of a pinned case: the bounds-table inputs of
+    seeds 0-4, the three-type instance, and a beta_p > 0 instance."""
+    if name.startswith("bounds-table-"):
+        inst = generate_synthetic(int(name[-1]), 5, "bounds-two-type", 1.0, demand=20.0,
+                                  arrival_prob=0.1, beta_p=-1.0, max_bundle_size=1)
+        return inst, singletons(inst)
+    if name == "three-type":
+        return _three_type_instance(), OptionSet([(0, 1), (2,), (3,)])
+    inst = generate_synthetic(1, 4, "B", 1.2, demand=6.0, beta_p=0.8, salvage=0.2)
+    return inst, OptionSet([(1, 0), (2,), (3,)])
+
+
+# (case, SHA-256 prefix of exact_dp(...).values, and of (r, tau) from
+# singleton_upper_profiles on every option of the case's instance)
+PINNED_TABLES = [
+    ("bounds-table-0", "dfa3ed40c5dc3fc5", "5948ae668253f0e8"),
+    ("bounds-table-1", "1c805cbc8bf7df5a", "be295e73abad2f45"),
+    ("bounds-table-2", "3cd919cec25d02f9", "6dcc67990536ec08"),
+    ("bounds-table-3", "554b5c71bec28c78", "5be9bcaa7b85521a"),
+    ("bounds-table-4", "471316a0438858b1", "3fe3f906e2f6c571"),
+    ("three-type", "600bd2b56779bc81", "05be9915bd102f7d"),
+    ("freight-sign", "1a58edfd20ddd430", "baa2557b1bae2e8c"),
+]
+
+
+@pytest.mark.parametrize("name, dp_digest, profile_digest", PINNED_TABLES,
+                         ids=[case[0] for case in PINNED_TABLES])
+def test_backward_recursions_pinned(name, dp_digest, profile_digest):
+    inst, option_set = _pinned_case(name)
+    assert _digest(exact_dp(inst, option_set).values) == dp_digest
+    pool = enumerate_options(inst)
+    assert _digest(*singleton_upper_profiles(inst, pool)) == profile_digest
+
+
+def _per_type_dp(inst, option_set):
+    """Reference subset DP with one W(e^x) call per customer type and period."""
+    q = inst.customer.quality_matrix(option_set.options)
+    beta_p = inst.customer.price_sensitivity
+    pmf = inst.customer.arrival_pmf
+    n = q.shape[1]
+    salv = inst.salvage_vector(option_set.options)
+    masks = np.arange(1 << n)
+    values = np.zeros((inst.horizon + 1, 1 << n))
+    for i in range(n):
+        values[0, (masks >> i & 1) == 1] += salv[i]
+    member_mask, member_opt, member_prev, seg_starts = _member_tables(n)
+    seg_len = np.diff(np.append(seg_starts, len(member_mask)))
+    for t in range(1, inst.horizon + 1):
+        prev = values[t - 1]
+        delta = prev[member_mask] - prev[member_prev]
+        expected = np.zeros(len(seg_starts))
+        for w in range(len(pmf)):
+            score = q[w, member_opt] + beta_p * delta
+            seg_max = np.maximum.reduceat(score, seg_starts)
+            e = np.exp(score - np.repeat(seg_max, seg_len))
+            expected += pmf[w] * lambert_w_exp(seg_max + np.log(np.add.reduceat(e, seg_starts)) - 1.0)
+        values[t, 0] = prev[0]
+        values[t, 1:] = prev[1:] + inst.arrival_prob * (-expected / beta_p)
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ten_options_match_per_type_loop(seed):
+    # two types at N=10 give one W call of 2046 elements (Newton's regime)
+    # where the per-type loop makes two of 1023 (wrightomega's)
+    inst = generate_synthetic(seed, 10, "bounds-two-type", 1.0, demand=3.0,
+                              arrival_prob=0.1, salvage=0.3, max_bundle_size=1)
+    got = exact_dp(inst, singletons(inst)).values
+    want = _per_type_dp(inst, singletons(inst))
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
