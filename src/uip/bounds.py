@@ -16,9 +16,9 @@ Bounds around the exact value V*:
                           by L-BFGS-B over unconstrained MNL logits.
 
 Values are reported in the instance's own sign convention (see pricing);
-orientation-sensitive steps (the tau^U extremum over types, monotonicity
-checks, the fluid/static maximizations) use the canonical orientation
-internally.
+orientation-sensitive steps (monotonicity checks, the fluid/static
+maximizations) use the canonical orientation internally. An empty option
+set is worth 0 under every approximation.
 """
 
 from __future__ import annotations
@@ -116,28 +116,31 @@ def _closed_form_choice(score):
     return gam, (gam / ((1.0 + gam) * total))[:, None] * e
 
 
-def singleton_upper_profiles(instance: MarketInstance, options, horizon=None):
+def singleton_upper_profiles(instance: MarketInstance, options):
     """Individual upper bounds r_{t,i} and the homogenized trajectory tau^U
     for an arbitrary collection of options, all recursions in parallel.
 
     Returns (r_final (M,), tau (T, M)). tau[t-1] is the extremal (over
     types) optimizer of the step that produced r_t from r_{t-1}, which is
-    what makes the DFA exact at N=1 and keeps the trajectory monotone.
+    what makes the DFA exact at N=1 and keeps the trajectory monotone. The
+    per-type optimizer is r - (1 + Gamma_w)/beta_p, and each rounded step of
+    g -> r - (1 + g)/beta_p (add, divide, subtract) is monotone in g: non-
+    decreasing for beta_p < 0, non-increasing for beta_p > 0. So the
+    canonical extremum over types, the largest price for beta_p < 0 and the
+    smallest for beta_p > 0, is the price at the largest Gamma, bit for bit.
     """
     cust = instance.customer
     q = cust.quality_matrix(options)
     beta_p = cust.price_sensitivity
     pmf = cust.arrival_pmf
     mu = instance.arrival_prob
-    T = instance.horizon if horizon is None else horizon
+    T = instance.horizon
     by_id = instance.items_by_id()
     r = np.array([sum(by_id[i].salvage for i in o.items) for o in options], dtype=float)
-    take_max = beta_p < 0
     tau = np.empty((T, len(options)))
     for t in range(1, T + 1):
         gam = lambert_w_exp(q + beta_p * r[None, :] - 1.0)  # (types, M)
-        prices = r[None, :] - (1.0 + gam) / beta_p
-        tau[t - 1] = prices.max(axis=0) if take_max else prices.min(axis=0)
+        tau[t - 1] = r - (1.0 + gam.max(axis=0)) / beta_p
         r = r + mu * (pmf @ (-gam / beta_p))
     return r, tau
 
@@ -167,6 +170,8 @@ def backward_lower(instance: MarketInstance, option_set: OptionSet) -> BoundResu
     individual values."""
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     mu = instance.arrival_prob
+    if xi.size == 0:
+        return BoundResult(kind="lower_backward", value=0.0, per_option=xi)
     l = xi.astype(float).copy()
     for _ in range(instance.horizon):
         gam, rho = _closed_form_choice(q + beta_p * l[None, :])
@@ -289,9 +294,12 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     mu_t = instance.arrival_prob * instance.horizon
     if mu_t <= 0:
         raise DomainError("fluid approximation needs mu*T > 0")
+    n = q.shape[1]
+    if n == 0:
+        return BoundResult(kind="fluid", value=0.0, certificate=0.0,
+                           extra={"converged": True, "rho": np.zeros_like(q)})
     sign = canonical_sign(beta_p)
     args = (q, pmf, -abs(beta_p), sign * xi, mu_t)
-    n = q.shape[1]
     res = minimize(
         lambda nu: _fluid_dual(nu, *args)[:2],
         np.zeros(n),
@@ -369,6 +377,9 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     if instance.horizon < 1:
         raise DomainError("static approximation needs T >= 1")
+    if q.shape[1] == 0:
+        return BoundResult(kind="static", value=0.0, extra={
+            "rho": np.zeros_like(q), "converged": True, "iterations": 0, "grad_norm": 0.0})
     sign = canonical_sign(beta_p)
     beta_c, xi_c = -abs(beta_p), sign * xi
     args = (q, pmf, beta_c, xi_c, instance.arrival_prob, instance.horizon)

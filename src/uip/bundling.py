@@ -24,7 +24,7 @@ from .bounds import (
     singleton_upper_profiles,
     static,
 )
-from .errors import MissingFreightData
+from .errors import ConfigError, DimensionMismatch, MissingFreightData
 from .model import (
     BundleOption,
     Item,
@@ -47,7 +47,7 @@ class ColumnGenConfig:
 
     def __post_init__(self):
         if self.n_gen < 0 or self.n_eval < 1:
-            raise ValueError("need n_gen >= 0 and n_eval >= 1")
+            raise ConfigError("need n_gen >= 0 and n_eval >= 1")
 
 
 @dataclass
@@ -379,7 +379,7 @@ def greedy_bundle(
             return fluid(inst, option_set).value
         if value_kind == "static":
             return static(inst, option_set).value
-        raise ValueError(f"unknown value_kind {value_kind!r}")
+        raise ConfigError(f"unknown value_kind {value_kind!r}")
 
     v0 = value_of(instance, singletons(instance))
     delta = {}
@@ -427,7 +427,7 @@ def min_empty_miles(
             raise MissingFreightData(f"load {it.id} has no freight data")
     ehat_dst = np.asarray(ehat_dst, dtype=float)
     if ehat_dst.shape != (len(loads),):
-        raise ValueError("one trailing-deadhead value per load required")
+        raise DimensionMismatch("one trailing-deadhead value per load required")
     by_id = {it.id: it for it in loads}
     ids = [it.id for it in loads]
     pos = {l: k for k, l in enumerate(ids)}

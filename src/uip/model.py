@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     CapExceeded,
     ConfigError,
+    DimensionMismatch,
     DomainError,
     PartitionMismatch,
     UnknownScenario,
@@ -57,7 +58,7 @@ class Item:
 
     def __post_init__(self):
         if not math.isfinite(self.salvage):
-            raise ValueError("salvage must be finite")
+            raise DomainError("salvage must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,9 @@ class BundleOption:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) == 0:
-            raise ValueError("an option holds at least one item")
+            raise DomainError("an option holds at least one item")
         if len(set(self.items)) != len(self.items):
-            raise ValueError(f"repeated item in option {self.items}")
+            raise DomainError(f"repeated item in option {self.items}")
 
     @property
     def cardinality(self) -> int:
@@ -175,11 +176,11 @@ class CustomerModel:
         self.types = tuple(self.types)
         self.arrival_pmf = np.asarray(self.arrival_pmf, dtype=float)
         if self.arrival_pmf.shape != (len(self.types),):
-            raise ValueError("arrival_pmf length must match types")
+            raise DimensionMismatch("arrival_pmf length must match types")
         if np.any(self.arrival_pmf < 0) or abs(self.arrival_pmf.sum() - 1.0) > 1e-12:
-            raise ValueError("arrival_pmf must be a probability distribution")
+            raise DomainError("arrival_pmf must be a probability distribution")
         if self.price_sensitivity == 0:
-            raise ValueError("price_sensitivity must be nonzero")
+            raise DomainError("price_sensitivity must be nonzero")
 
     @property
     def n_types(self) -> int:
@@ -220,13 +221,13 @@ class MarketInstance:
         self.items = tuple(self.items)
         ids = [it.id for it in self.items]
         if len(set(ids)) != len(ids):
-            raise ValueError("item ids must be unique")
+            raise ConfigError("item ids must be unique")
         if self.demand < 0:
-            raise ValueError("demand must be nonnegative")
+            raise DomainError("demand must be nonnegative")
         if not 0 < self.arrival_prob <= 1:
-            raise ValueError("arrival_prob must lie in (0, 1]")
+            raise DomainError("arrival_prob must lie in (0, 1]")
         if self.max_bundle_size < 1 or self.max_bundles < 0:
-            raise ValueError("need max_bundle_size >= 1 and max_bundles >= 0")
+            raise DomainError("need max_bundle_size >= 1 and max_bundles >= 0")
 
     @property
     def horizon(self) -> int:
@@ -394,6 +395,8 @@ def generate_synthetic(
     """
     if scenario not in SCENARIOS:
         raise UnknownScenario(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    if count < 1:
+        raise DomainError(f"a synthetic market needs at least one item, got {count}")
     rng = np.random.default_rng(seed)
     features = rng.uniform(0.0, 1.0, size=(count, 2))
     items = tuple(

@@ -63,7 +63,7 @@ def lambert_w_exp(x):
     rely on.
     """
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
+    if not np.isfinite(x_arr).all():
         raise DomainError("lambert_w_exp: argument must be finite")
     if x_arr.size <= _W_SMALL_MAX:
         g = wrightomega(x_arr)

@@ -25,6 +25,7 @@ from uip.model import (
     extended_choice,
     generate_synthetic,
     singletons,
+    sub_instance,
 )
 from uip.numerics import lambert_w0
 from uip.pricing import canonical_sign, exact_dp
@@ -425,6 +426,16 @@ def test_monotone_columns_match_set_flag():
     flags = monotone_columns(prices, np.array([0.5, 1.5]), beta_p=-1.0)
     assert flags.tolist() == [True, False]
     assert not check_monotone(prices, np.array([0.5, 1.5]), beta_p=-1.0)
+
+
+@pytest.mark.parametrize("bound", [backward_lower, fluid, static])
+@pytest.mark.parametrize("beta_p", [-1.0, 1.0])
+def test_empty_option_set_is_worth_zero(bound, beta_p):
+    inst = sub_instance(generate_synthetic(0, 2, demand=3.0, beta_p=beta_p), [])
+    res = bound(inst, singletons(inst))
+    assert res.value == 0.0 and np.copysign(1.0, res.value) == 1.0
+    if bound is fluid:
+        assert res.certificate == 0.0
 
 
 def test_bound_result_json():

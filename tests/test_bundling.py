@@ -123,8 +123,8 @@ class TestSetEvaluator:
         # salvage: monotone in t, failing at the salvage row only
         real = uip.bundling.singleton_upper_profiles
 
-        def broken(instance, options, horizon=None):
-            r, tau = real(instance, options, horizon)
+        def broken(instance, options):
+            r, tau = real(instance, options)
             tau = tau.copy()
             tau[:, 0] = instance.salvage_vector(options[:1])[0] - 0.1
             return r, tau

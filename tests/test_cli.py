@@ -160,6 +160,30 @@ class TestOutputs:
         assert code == 1
         assert err.startswith("error: ") and needle in err and "bad.json" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--L", "-1"],
+        ["exact", "--L", "0", "--lambda", "5"],
+        ["bundle", "--L", "0", "--lambda", "5"],
+        ["exact", "--mu", "0"],
+        ["exact", "--lambda", "-2"],
+        ["exact", "--kb", "0"],
+        ["exact", "--beta-p", "0"],
+        ["bundle", "--n-gen", "-1"],
+    ], ids=" ".join)
+    def test_bad_model_argument_is_an_error(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["fluid", "static"])
+    def test_greedy_single_item(self, tmp_path, kind):
+        # the leave-one-out valuation sees an instance without items
+        code, text = run(tmp_path, "greedy", "--L", "1", "--lambda", "3",
+                         "--value-kind", kind)
+        assert code == 0
+        assert json.loads(text)["options"] == [[0]]
+
     def test_simulate_with_coeff_and_region_files(self, tmp_path):
         from uip.freight import demo_coeffs, demo_regions
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import uip.pricing
+from uip.bounds import singleton_upper_profiles
 from uip.errors import CapExceeded, DomainError, MissingDp, PartitionMismatch
 from uip.model import (
     BundleOption,
@@ -11,12 +13,12 @@ from uip.model import (
     Item,
     MarketInstance,
     OptionSet,
+    enumerate_options,
     generate_synthetic,
     mnl_choice,
     singletons,
+    sub_instance,
 )
-from uip.bounds import singleton_upper_profiles
-from uip.model import enumerate_options
 from uip.numerics import lambert_w0, lambert_w_exp
 from uip.pricing import (
     _member_tables,
@@ -205,6 +207,28 @@ class TestExactDp:
             spo = single_period_optimum(sol.qualities[w], delta,
                                         inst.customer.price_sensitivity)
             assert np.allclose(sol.prices(t, w), spo.prices, atol=1e-12)
+
+    def test_empty_option_set_is_worth_zero(self):
+        inst = sub_instance(generate_synthetic(0, 2, demand=3.0), [])
+        sol = exact_dp(inst, singletons(inst))
+        assert inst.horizon == 30 and sol.values.shape == (31, 1)
+        assert sol.value() == 0.0
+
+    @pytest.mark.parametrize("types", [1, 2, 3])
+    def test_one_w_call_per_period(self, monkeypatch, types):
+        inst = {1: single_item_instance(demand=3.0, mu=0.5),
+                2: generate_synthetic(0, 3, demand=3.0),
+                3: _three_type_instance()}[types]
+        assert inst.customer.n_types == types
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return lambert_w_exp(x)
+
+        monkeypatch.setattr(uip.pricing, "lambert_w_exp", counted)
+        exact_dp(inst, singletons(inst))
+        assert len(calls) == inst.horizon
 
 
 class TestAsymptotics:
