@@ -378,8 +378,8 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     if instance.horizon < 1:
         raise DomainError("static approximation needs T >= 1")
     if q.shape[1] == 0:
-        return BoundResult(kind="static", value=0.0, extra={
-            "rho": np.zeros_like(q), "converged": True, "iterations": 0, "grad_norm": 0.0})
+        extra = {"rho": np.zeros_like(q), "converged": True, "iterations": 0, "grad_norm": 0.0}
+        return BoundResult(kind="static", value=0.0, extra=extra)
     sign = canonical_sign(beta_p)
     beta_c, xi_c = -abs(beta_p), sign * xi
     args = (q, pmf, beta_c, xi_c, instance.arrival_prob, instance.horizon)

@@ -229,6 +229,7 @@ class TestExactDp:
         monkeypatch.setattr(uip.pricing, "lambert_w_exp", counted)
         exact_dp(inst, singletons(inst))
         assert len(calls) == inst.horizon
+        assert set(calls) == {(types, 2**inst.n_items - 1)}
 
 
 class TestAsymptotics:
