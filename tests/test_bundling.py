@@ -181,6 +181,46 @@ class TestColumnGenerationValues:
             assert entries == [res.value]
 
 
+def _greedy_case(name):
+    """Instances of the greedy pins: two retail scenarios, a beta_p > 0
+    instance, and three types of which the middle one has zero weight."""
+    if name == "zero-weight-type":
+        table = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 4))
+        cust = CustomerModel(types=(0, 1, 2), arrival_pmf=[0.25, 0.0, 0.75],
+                             price_sensitivity=-1.3,
+                             quality=lambda o, w: float(sum(table[w, i] for i in o.items)))
+        return MarketInstance(items=tuple(Item(i, salvage=0.1 * i) for i in range(4)),
+                              customer=cust, demand=6.0, arrival_prob=0.2,
+                              max_bundles=2, max_bundle_size=2)
+    if name == "B":
+        return generate_synthetic(3, 6, "B", 2.0, demand=6.0, max_bundle_size=2, max_bundles=3)
+    if name == "C":
+        return generate_synthetic(1, 6, "C", 1.5, demand=4.0, max_bundle_size=3, max_bundles=2)
+    return generate_synthetic(4, 5, "B", 2.0, demand=3.0, beta_p=0.8, max_bundle_size=2,
+                              max_bundles=2)
+
+
+# greedy_bundle's chosen options per instance and value kind
+GREEDY_PINS = [
+    ("B", "dfa", [(1, 5), (2, 3), (0, 4)]),
+    ("B", "upper", [(1,), (5,), (4,), (3,), (2,), (0,)]),
+    ("B", "fluid", [(1, 5), (2, 3), (0, 4)]),
+    ("B", "static", [(1, 5), (2, 3), (0, 4)]),
+    ("C", "dfa", [(3, 5, 4), (0, 1, 2)]),
+    ("C", "upper", [(3, 5, 4), (0,), (1,), (2,)]),
+    ("C", "fluid", [(3, 5, 4), (0, 1, 2)]),
+    ("C", "static", [(3, 5, 4), (0, 1, 2)]),
+    ("freight-sign", "dfa", [(0, 4), (2, 3), (1,)]),
+    ("freight-sign", "upper", [(0, 4), (2,), (3,), (1,)]),
+    ("freight-sign", "fluid", [(0, 4), (2, 3), (1,)]),
+    ("freight-sign", "static", [(0, 4), (2, 3), (1,)]),
+    ("zero-weight-type", "dfa", [(1,), (2,), (0,), (3,)]),
+    ("zero-weight-type", "upper", [(1,), (2,), (0,), (3,)]),
+    ("zero-weight-type", "fluid", [(0,), (2,), (1,), (3,)]),
+    ("zero-weight-type", "static", [(1,), (2,), (0,), (3,)]),
+]
+
+
 class TestGreedy:
     def test_kb1(self):
         inst = generate_synthetic(1, 4, "A", 1.0, max_bundle_size=1)
@@ -203,6 +243,11 @@ class TestGreedy:
         inst = generate_synthetic(0, 3, "A", 1.0)
         with pytest.raises(ValueError):
             greedy_bundle(inst, "nope")
+
+    @pytest.mark.parametrize("case, kind, want", GREEDY_PINS,
+                             ids=[f"{case}-{kind}" for case, kind, _ in GREEDY_PINS])
+    def test_chosen_sets_pinned(self, case, kind, want):
+        assert [o.items for o in greedy_bundle(_greedy_case(case), kind)] == want
 
 
 class TestZStar:

@@ -111,6 +111,23 @@ class TestSinglePeriod:
         with pytest.raises(DomainError):
             single_period_optimum([np.inf], [0.0], -1.0)
 
+    def test_pinned_against_softmax_reference(self):
+        # gamma, revenue and prices pinned bit for bit; the choice against
+        # gamma/(1+gamma) times the softmax of the scores
+        rng = np.random.default_rng(11)
+        pinned = []
+        for k in range(200):
+            n = int(rng.integers(1, 9))
+            bp = float(rng.choice([-1, 1]) * rng.uniform(0.2, 3.0))
+            q = rng.uniform(-3, 3, n) * (50 if k % 10 == 0 else 1)
+            d = rng.uniform(-2, 2, n)
+            spo = single_period_optimum(q, d, bp)
+            pinned.append(np.r_[spo.gamma, spo.revenue, spo.prices])
+            e = np.exp(q + bp * d - np.max(q + bp * d))
+            want = spo.gamma / (1.0 + spo.gamma) * e / e.sum()
+            np.testing.assert_allclose(spo.choice.probs, want, rtol=1e-15, atol=0)
+        assert _digest(*pinned) == "0d80d783cab37a2b"
+
 
 class TestPriceFromProbs:
     def test_equal_probs_zero_price(self):
@@ -505,3 +522,25 @@ def test_ten_options_match_per_type_loop(seed):
     got = exact_dp(inst, singletons(inst)).values
     want = _per_type_dp(inst, singletons(inst))
     assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+# (case, SHA-256 prefix of DpSolution.gammas at every period and nonempty
+# mask, and cumulative_aggregated_utility as float.hex)
+PINNED_GAMMAS = [
+    ("bounds-table-0", "67e64e850fdc6e4b", "0x1.36fb862c5eaa7p+2"),
+    ("three-type", "8b63ad61c1901dd9", "0x1.762cab795497ap+1"),
+    ("freight-sign", "b5d12e25f0099352", "0x1.f4b00dbbe8da4p+1"),
+]
+
+
+@pytest.mark.parametrize("name, gamma_digest, utility_hex", PINNED_GAMMAS,
+                         ids=[case[0] for case in PINNED_GAMMAS])
+def test_gammas_and_cumulative_utility_pinned(name, gamma_digest, utility_hex):
+    inst, option_set = _pinned_case(name)
+    sol = exact_dp(inst, option_set)
+    gammas = [sol.gammas(t, mask) for t in range(1, sol.horizon + 1)
+              for mask in range(1, sol.full_mask + 1)]
+    assert _digest(*gammas) == gamma_digest
+    assert cumulative_aggregated_utility(inst, option_set, sol).hex() == utility_hex
+    with pytest.raises(DomainError):
+        sol.gammas(1, 0)
