@@ -33,7 +33,7 @@ from scipy.optimize import minimize
 from .errors import DimensionMismatch, DomainError, ValidityWarning
 from .model import MarketInstance, OptionSet
 from .numerics import lambert_w_exp
-from .pricing import canonical_sign
+from .pricing import _closed_form_choice, canonical_sign
 
 # L-BFGS-B tolerances of the fluid dual and the static bound, the relative
 # duality gap at which the fluid solve counts as converged, and the relative
@@ -105,17 +105,6 @@ def _set_arrays(instance: MarketInstance, option_set: OptionSet):
     return q, xi, instance.customer.arrival_pmf, instance.customer.price_sensitivity
 
 
-def _closed_form_choice(score):
-    """Single-arrival closed form for every row of score (types, N): Gamma =
-    W(e^{lse(score) - 1}) per type and the optimal choice probabilities,
-    Gamma/(1+Gamma) times the softmax of the scores."""
-    m = score.max(axis=1)
-    e = np.exp(score - m[:, None])
-    total = e.sum(axis=1)
-    gam = lambert_w_exp(m + np.log(total) - 1.0)
-    return gam, (gam / ((1.0 + gam) * total))[:, None] * e
-
-
 def singleton_upper_profiles(instance: MarketInstance, options):
     """Individual upper bounds r_{t,i} and the homogenized trajectory tau^U
     for an arbitrary collection of options, all recursions in parallel.
@@ -135,8 +124,7 @@ def singleton_upper_profiles(instance: MarketInstance, options):
     pmf = cust.arrival_pmf
     mu = instance.arrival_prob
     T = instance.horizon
-    by_id = instance.items_by_id()
-    r = np.array([sum(by_id[i].salvage for i in o.items) for o in options], dtype=float)
+    r = instance.salvage_vector(options)
     tau = np.empty((T, len(options)))
     for t in range(1, T + 1):
         gam = lambert_w_exp(q + beta_p * r[None, :] - 1.0)  # (types, M)

@@ -34,7 +34,7 @@ from .model import (
     singletons,
     sub_instance,
 )
-from .numerics import weighted_lse_rows
+from .numerics import log_sum_exp
 from .optim import SetPartitionMilp, assignment_options, bnb_solve, enumerate_top_solutions, simplex_solve
 from .pricing import canonical_sign
 
@@ -389,7 +389,7 @@ def greedy_bundle(
 
     q = cust.quality_matrix(pool)  # (types, M)
     dsum = np.array([sum(delta[l] for l in o.items) for o in pool])
-    keys = weighted_lse_rows((q + cust.price_sensitivity * dsum[None, :]).T, cust.arrival_pmf)
+    keys = log_sum_exp((q + cust.price_sensitivity * dsum[None, :]).T, cust.arrival_pmf)
 
     order = sorted(range(len(pool)), key=lambda j: (-keys[j], j))
     chosen: list[BundleOption] = []

@@ -26,7 +26,7 @@ from .bundling import (
     greedy_bundle,
     optimality_gap,
 )
-from .errors import UipError, config_errors
+from .errors import ConfigError, UipError, config_errors
 from .freight import RegionModel, FreightCoeffs, SimConfig, demo_coeffs, demo_regions, simulate
 from .model import (
     BundleOption,
@@ -65,6 +65,12 @@ def _csv(provenance: str, header: list[str], rows: list[list]) -> str:
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _load_instance(args) -> MarketInstance:
@@ -145,7 +151,7 @@ def cmd_bounds_table(args) -> int:
             out[kind] = (res.value - v) / v
         return out
 
-    seeds = [args.seed + k for k in range(args.seeds)]
+    seeds = [args.seed + k for k in range(_at_least_one("--seeds", args.seeds))]
     rows = list(map(one, seeds))
     kinds = ["fluid", "upper_backward", "dfa", "lower_backward", "static"]
     table = [
@@ -191,17 +197,22 @@ def intro_example_values(demand: float) -> tuple[float, float, float]:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """Grid from lo:hi[:count][:log|lin]; 25 log-spaced points by default."""
     parts = spec.split(":")
-    lo, hi = float(parts[0]), float(parts[1])
+    if len(parts) < 2:
+        raise ConfigError(f"grid {spec!r}: expected lo:hi[:count][:log|lin]")
     n = 25
     log = True
-    for p in parts[2:]:
-        if p == "log":
-            log = True
-        elif p == "lin":
-            log = False
-        else:
-            n = int(p)
+    with config_errors(f"grid {spec!r}"):
+        lo, hi = float(parts[0]), float(parts[1])
+        for p in parts[2:]:
+            if p in ("log", "lin"):
+                log = p == "log"
+            else:
+                n = int(p)
+    _at_least_one(f"grid {spec!r}: the point count", n)
+    if not (math.isfinite(lo) and math.isfinite(hi)) or (log and min(lo, hi) <= 0):
+        raise ConfigError(f"grid {spec!r}: bounds must be finite, and positive on a log grid")
     if log:
         return np.exp(np.linspace(math.log(lo), math.log(hi), n))
     return np.linspace(lo, hi, n)
@@ -257,6 +268,7 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _at_least_one("--seeds", args.seeds)
     if args.config:
         with open(args.config) as fh:
             cfg = SimConfig.from_json(fh.read())
@@ -293,6 +305,7 @@ def cmd_condition_scatter(args) -> int:
     size threshold predict a positive exact improvement?"""
     rng = np.random.default_rng(args.seed)
     grid = _parse_grid(args.lambda_grid)
+    _at_least_one("--samples", args.samples)
     draws = []
     for k in range(args.samples):
         draws.append(

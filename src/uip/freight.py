@@ -23,7 +23,7 @@ from scipy import stats
 
 from .errors import ConfigError, DomainError, MissingFreightData, config_errors
 from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
-from .numerics import lambert_w_exp, log_sum_exp, weighted_lse_rows
+from .numerics import lambert_w_exp, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -120,40 +120,44 @@ def _dist(a, b) -> float:
     return math.hypot(b[0] - a[0], b[1] - a[1])
 
 
-def perceived_quality(
-    loads: Sequence[Item], region: int, coeffs: FreightCoeffs, regions: RegionModel
-) -> float:
-    """Carrier utility intercept of an option for an arrival region.
+def _intercept(coeffs: FreightCoeffs, loaded, empty, bundled, org, dst):
+    """Carrier utility intercept from loaded miles, empty miles, whether the
+    option bundles more than one load, and the origin and destination
+    region indices; the arguments broadcast against each other."""
+    return (
+        coeffs.beta0
+        + coeffs.beta_d * loaded
+        + coeffs.beta_e * empty
+        + coeffs.beta_b * bundled
+        + coeffs.beta_org[org]
+        + coeffs.beta_dst[dst]
+    )
+
+
+def quality_vector(loads, coeffs, regions) -> np.ndarray:
+    """Carrier utility intercept of an option for every arrival region, shape (R,).
 
     Empty miles are the approach leg from the region centroid to the first
     pickup plus every dropoff-to-next-pickup gap; origin/destination regions
-    are the centroids nearest the first pickup and last dropoff.
+    are the centroids nearest the first pickup and last dropoff. Every
+    option of more than one load carries the bundle term beta_b.
     """
     for it in loads:
         if it.freight is None:
             raise MissingFreightData(f"load {it.id} has no freight data")
     f = [it.freight for it in loads]
-    d = sum(x.loaded_miles for x in f)
-    e = _dist(regions.centroids[region], f[0].pickup)
+    empty = np.array([_dist(c, f[0].pickup) for c in regions.centroids])
     for a, b in zip(f[:-1], f[1:]):
-        e += _dist(a.dropoff, b.pickup)
-    org = regions.nearest(f[0].pickup)
-    dst = regions.nearest(f[-1].dropoff)
-    return (
-        coeffs.beta0
-        + coeffs.beta_d * d
-        + coeffs.beta_e * e
-        + (coeffs.beta_b if len(loads) == 2 else 0.0)
-        + float(coeffs.beta_org[org])
-        + float(coeffs.beta_dst[dst])
-    )
+        empty += _dist(a.dropoff, b.pickup)
+    return _intercept(coeffs, sum(x.loaded_miles for x in f), empty, len(loads) > 1,
+                      regions.nearest(f[0].pickup), regions.nearest(f[-1].dropoff))
 
 
-def quality_vector(loads, coeffs, regions) -> np.ndarray:
-    """perceived_quality across all arrival regions, shape (R,)."""
-    return np.array(
-        [perceived_quality(loads, w, coeffs, regions) for w in range(regions.n_regions)]
-    )
+def perceived_quality(
+    loads: Sequence[Item], region: int, coeffs: FreightCoeffs, regions: RegionModel
+) -> float:
+    """Carrier utility intercept of an option for one arrival region."""
+    return float(quality_vector(loads, coeffs, regions)[region])
 
 
 def make_freight_quality(items_by_id: dict, coeffs: FreightCoeffs, regions: RegionModel):
@@ -200,7 +204,9 @@ def freight_instance(
 
 def _closed_form_price(q: np.ndarray, delta: np.ndarray, beta_p: float, pmf) -> np.ndarray:
     """Single-arrival optimal prices of k options with qualities q (k, R) and
-    marginal values delta (k,), all in one lambert_w_exp call."""
+    marginal values delta (k,), all in one lambert_w_exp call. Each option
+    is priced alone from its pmf-averaged Gamma, a different aggregation from
+    pricing._closed_form_choice's one Gamma per type over a whole menu."""
     gam = lambert_w_exp(q + beta_p * delta[:, None] - 1.0)
     return delta - (1.0 + gam @ pmf) / beta_p
 
@@ -467,20 +473,14 @@ class _Loads:
 
     def quality(self, first, last, coeffs: FreightCoeffs) -> np.ndarray:
         """Utility intercepts, shape (k, R), of the options first[k] then
-        last[k] (first == last for a singleton); perceived_quality in
-        array form."""
+        last[k] (first == last for a singleton); quality_vector for many
+        options at once."""
         pair = first != last
         gap = self.pickup[last] - self.dropoff[first]
         gap = np.where(pair, np.hypot(gap[:, 0], gap[:, 1]), 0.0)
         loaded = np.where(pair, self.dist[first] + self.dist[last], self.dist[first])
-        return (
-            coeffs.beta0
-            + coeffs.beta_d * loaded[:, None]
-            + coeffs.beta_e * (self.approach[first] + gap[:, None])
-            + coeffs.beta_b * pair[:, None]
-            + coeffs.beta_org[self.org[first]][:, None]
-            + coeffs.beta_dst[self.dst[last]][:, None]
-        )
+        return _intercept(coeffs, loaded[:, None], self.approach[first] + gap[:, None],
+                          pair[:, None], self.org[first][:, None], self.dst[last][:, None])
 
 
 def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
@@ -513,12 +513,6 @@ def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
     raise ConfigError(f"unknown choice mode {mode!r}")
 
 
-def _expected_lse(values: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """log_sum_exp(row, pmf) of every row, with zero-weight regions ignored."""
-    live = pmf > 0
-    return weighted_lse_rows(values[:, live], pmf[live])
-
-
 def _greedy_pairs(loads: _Loads, uids, marginals, coeffs, pmf, max_bundles, region=None):
     """Greedy partition of the active loads uids into singletons and ordered
     pairs by expected acceptance weight at the estimated marginals. Ties go
@@ -532,7 +526,7 @@ def _greedy_pairs(loads: _Loads, uids, marginals, coeffs, pmf, max_bundles, regi
     dm = np.where(first != last, marginals[first] + marginals[last], marginals[first])
     q = loads.quality(uids[first], uids[last], coeffs)
     keys = (
-        _expected_lse(q + coeffs.beta_p * dm[:, None], pmf)
+        log_sum_exp(q + coeffs.beta_p * dm[:, None], pmf)
         if region is None
         else q[:, region] + coeffs.beta_p * dm
     )
@@ -664,7 +658,7 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
         if n_new:
             new = np.arange(loads.size - n_new, loads.size)
             q = loads.q[new] = loads.quality(new, new, coeffs)
-            loads.kappa[new] = _expected_lse(q, pmf)
+            loads.kappa[new] = log_sum_exp(q, pmf)
             loads.pbar[new] = _closed_form_price(q, penalty_per_mile * loads.dist[new], beta_p, pmf)
 
         # (b) expirations

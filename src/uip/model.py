@@ -78,9 +78,6 @@ class BundleOption:
     def cardinality(self) -> int:
         return len(self.items)
 
-    def salvage(self, items_by_id: dict[int, Item]) -> float:
-        return sum(items_by_id[i].salvage for i in self.items)
-
 
 def _as_option(obj) -> BundleOption:
     if isinstance(obj, BundleOption):
@@ -242,10 +239,6 @@ class MarketInstance:
     def items_by_id(self) -> dict[int, Item]:
         return {it.id: it for it in self.items}
 
-    def salvage_of(self, option: BundleOption) -> float:
-        by_id = self.items_by_id()
-        return sum(by_id[i].salvage for i in option.items)
-
     def salvage_vector(self, options: Sequence[BundleOption]) -> np.ndarray:
         by_id = self.items_by_id()
         return np.array(
@@ -302,7 +295,9 @@ def _utilities(customer: CustomerModel, options, prices, type_index) -> np.ndarr
 
 
 def mnl_choice(customer: CustomerModel, options, prices, type_index: int) -> ChoiceVector:
-    """MNL acceptance probabilities for one customer type, shift-stable."""
+    """MNL acceptance probabilities for one customer type, shift-stable.
+    Kept, with extended_choice, as the per-type reference that tests check
+    the solvers' array forms against."""
     opts = [_as_option(o) for o in options]
     v = _utilities(customer, opts, prices, type_index)
     m = max(0.0, float(np.max(v))) if v.size else 0.0

@@ -1,9 +1,9 @@
-"""Scalar numerics used throughout the pricing machinery.
+"""Numerics used throughout the pricing machinery.
 
-The principal-branch Lambert W function (scipy's lambertw), an
-overflow-safe evaluation of W(e^x) (scipy's Wright omega on small arrays,
-Newton's method on large ones), and a weighted log-sum-exp. All three
-accept scalars or numpy arrays and are pure functions, so they are safe to
+The principal-branch Lambert W function (scipy's lambertw) and an
+overflow-safe W(e^x) (scipy's Wright omega on small arrays, Newton's method
+on large ones), on scalars or arrays, and the weighted log-sum-exp of a
+vector or of every row of a matrix. All three are pure functions, safe to
 call from any number of concurrent workers.
 """
 
@@ -83,39 +83,33 @@ def lambert_w_exp(x):
 
 
 def log_sum_exp(values, weights=None):
-    """ln sum_k w_k * e^{v_k}, computed shift-stably (max subtracted first).
+    """ln sum_k w_k * e^{v_k} over the last axis, shift-stably (max first).
 
-    Zero-weight entries are ignored entirely, so their values may be huge or
-    non-finite without polluting the result. Raises DomainError on empty
-    input or when every weight is zero.
+    A float for 1-D values, one value per row (bit-identical to the 1-D call
+    on it) for 2-D; weights has the length of the last axis. Zero-weight
+    columns are dropped, so their values may be huge or non-finite. Raises
+    DomainError on an empty last axis, a negative weight or all-zero
+    weights, and DimensionMismatch on misshapen input.
     """
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
+    if v.ndim not in (1, 2):
+        raise DimensionMismatch(f"log_sum_exp: values must be 1-D or 2-D, got shape {v.shape}")
+    if v.shape[-1] == 0:
         raise DomainError("log_sum_exp: empty input")
     if weights is None:
-        w = np.ones_like(v)
+        w = np.ones(v.shape[-1])
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != v.shape:
-            raise DimensionMismatch(f"values shape {v.shape} != weights shape {w.shape}")
-        if np.any(w < 0):
+        if w.shape != v.shape[-1:]:
+            raise DimensionMismatch(f"values shape {v.shape} does not match weights shape {w.shape}")
+        if (w < 0).any():
             raise DomainError("log_sum_exp: negative weight")
     mask = w > 0
-    if not np.any(mask):
+    if not mask.any():
         raise DomainError("log_sum_exp: all weights are zero")
-    v = v[mask]
-    w = w[mask]
-    m = np.max(v)
-    return float(m + np.log(np.sum(w * np.exp(v - m))))
-
-
-def weighted_lse_rows(values, weights):
-    """Row-wise weighted log-sum-exp for a 2-D array (internal vector path).
-
-    values has shape (rows, k), weights shape (k,) with at least one positive
-    entry; returns shape (rows,).
-    """
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    if not mask.all():
+        v, w = v[..., mask], w[mask]
+    v = np.ascontiguousarray(v)  # C order, so each row sums as the 1-D call does
     m = np.max(v, axis=-1, keepdims=True)
-    return (m[..., 0] + np.log(np.sum(w * np.exp(v - m), axis=-1)))
+    out = m[..., 0] + np.log(np.sum(w * np.exp(v - m), axis=-1))
+    return float(out) if v.ndim == 1 else out

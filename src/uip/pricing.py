@@ -47,15 +47,29 @@ class SinglePeriodOptimum:
     choice: ChoiceVector
 
 
+def _closed_form_choice(score):
+    """Single-arrival closed form for every row of score (types, N): Gamma =
+    W(e^{lse(score) - 1}) per type and the optimal choice probabilities,
+    Gamma/(1+Gamma) times the softmax of the scores. The one implementation
+    of the closed form; raises DomainError on an empty option set."""
+    if score.shape[1] == 0:
+        raise DomainError("closed-form choice of an empty option set")
+    m = score.max(axis=1)
+    e = np.exp(score - m[:, None])
+    total = e.sum(axis=1)
+    gam = lambert_w_exp(m + np.log(total) - 1.0)
+    return gam, (gam / ((1.0 + gam) * total))[:, None] * e
+
+
 def single_period_optimum(
     qualities, marginals, beta_p: float
 ) -> SinglePeriodOptimum:
     """Optimal single-arrival pricing for one customer type.
 
-    Gamma = W(sum_i e^{q_i + beta_p*Delta_i - 1}) computed through
-    lambert_w_exp(log-sum-exp(...)) so scores of magnitude ~1e3 neither
-    overflow nor underflow. Revenue is -Gamma/beta_p, every option is priced
-    at its marginal value plus the common markup -(1+Gamma)/beta_p.
+    Gamma = W(sum_i e^{q_i + beta_p*Delta_i - 1}), evaluated by the closed
+    form in log space so scores of magnitude ~1e3 neither overflow nor
+    underflow. Revenue is -Gamma/beta_p, every option is priced at its
+    marginal value plus the common markup -(1+Gamma)/beta_p.
     """
     q = np.asarray(qualities, dtype=float)
     delta = np.asarray(marginals, dtype=float)
@@ -63,17 +77,13 @@ def single_period_optimum(
         raise DomainError("single_period_optimum: empty option set")
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(delta))):
         raise DomainError("single_period_optimum: non-finite inputs")
-    score = q + beta_p * delta
-    gamma = lambert_w_exp(log_sum_exp(score) - 1.0)
-    prices = delta - (1.0 + gamma) / beta_p
-    m = score.max()
-    weights = np.exp(score - m)
-    probs = (gamma / (1.0 + gamma)) * weights / weights.sum()
+    gam, rho = _closed_form_choice((q + beta_p * delta)[None, :])
+    gamma = float(gam[0])
     return SinglePeriodOptimum(
         gamma=gamma,
         revenue=-gamma / beta_p,
-        prices=prices,
-        choice=ChoiceVector(probs=probs, outside=1.0 / (1.0 + gamma)),
+        prices=delta - (1.0 + gamma) / beta_p,
+        choice=ChoiceVector(probs=rho[0], outside=1.0 / (1.0 + gamma)),
     )
 
 
@@ -148,13 +158,9 @@ class DpSolution:
     def gammas(self, t: int, mask: Optional[int] = None) -> np.ndarray:
         """Gamma_t^omega at the given state, one entry per customer type."""
         mask = self.full_mask if mask is None else mask
-        idx = self.members(mask)
         delta = self.marginals(t, mask)
-        out = np.empty(len(self.arrival_pmf))
-        for w in range(len(self.arrival_pmf)):
-            score = self.qualities[w, idx] + self.beta_p * delta
-            out[w] = lambert_w_exp(log_sum_exp(score) - 1.0)
-        return out
+        score = self.qualities[:, self.members(mask)] + self.beta_p * delta
+        return _closed_form_choice(score)[0]
 
     def prices(
         self, t: int, type_index: Optional[int] = None, mask: Optional[int] = None
@@ -202,7 +208,8 @@ def exact_dp(
 
     One period is one pass over all types at once: the scores of every
     (type, subset member) pair form one (types, members) array, the
-    per-subset log-sum-exp is a segmented reduction along its rows, and
+    per-subset log-sum-exp is a segmented reduceat along its rows (subsets
+    are ragged; padding them for log_sum_exp adds work and changes bits), and
     Gamma comes from one lambert_w_exp call on the (types, 2^N - 1) block.
     The type-weighted sum adds the rows in type order, as a per-type loop
     would. lambert_w_exp picks its regime by element count, so the block
@@ -327,16 +334,13 @@ def cumulative_aggregated_utility(
     T = dp.horizon
     if T < 1:
         raise MissingDp("cumulative utility needs at least one period")
-    k = len(dp.arrival_pmf)
-    utilities, weights = [], []
+    utilities = np.empty((T,) + dp.qualities.shape)  # (T, types, N)
     for t in range(1, T + 1):
-        delta = dp.marginals(t)
-        gam = dp.gammas(t)
-        for w in range(k):
-            u = dp.qualities[w] + dp.beta_p * delta - 1.0 - gam[w]
-            utilities.append(u)
-            weights.append(np.full(u.shape, dp.arrival_pmf[w]))
-    return log_sum_exp(np.concatenate(utilities), np.concatenate(weights))
+        score = dp.qualities + dp.beta_p * dp.marginals(t)
+        gam, _ = _closed_form_choice(score)
+        utilities[t - 1] = score - 1.0 - gam[:, None]
+    weights = np.broadcast_to(dp.arrival_pmf[:, None], utilities.shape)
+    return log_sum_exp(utilities.ravel(), weights.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,16 @@ class TestOutputs:
         ["exact", "--kb", "0"],
         ["exact", "--beta-p", "0"],
         ["bundle", "--n-gen", "-1"],
+        ["bounds-table", "--seeds", "0"],
+        ["simulate", "--seeds", "-1"],
+        ["figure1", "--lambda-grid", "5"],
+        ["figure1", "--lambda-grid", "0:5"],
+        ["figure1", "--lambda-grid", "1:5:0"],
+        ["figure1", "--lambda-grid", "1:x"],
+        ["figure1", "--lambda-grid", "1:5:lgo"],
+        ["figure1", "--lambda-grid=-1:5:3:log"],
+        ["condition-scatter", "--samples", "-1"],
+        ["condition-scatter", "--samples", "0"],
     ], ids=" ".join)
     def test_bad_model_argument_is_an_error(self, tmp_path, capsys, argv):
         code, _ = run(tmp_path, *argv)

@@ -76,6 +76,9 @@ class TestPerceivedQuality:
         a, b = centroid_load(), Item(1, freight=FreightItemData((0.0, 0.0), (0.0, 0.0), 10))
         assert perceived_quality([a], 0, c, regions) == 0.0
         assert perceived_quality([a, b], 0, c, regions) == pytest.approx(-2.0)
+        # every option of more than one load is a bundle, three chained loads too
+        c3 = Item(2, freight=FreightItemData((0.0, 0.0), (0.0, 0.0), 10))
+        assert perceived_quality([a, b, c3], 0, c, regions) == -2.0
 
     def test_missing_freight(self):
         with pytest.raises(MissingFreightData):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uip.errors import DomainError, SolverStalled
+from uip.errors import DimensionMismatch, DomainError, SolverStalled
 import uip.numerics
 from uip.numerics import (
     _W_SMALL_MAX,
@@ -153,11 +153,19 @@ def test_log_sum_exp_examples():
     assert log_sum_exp([0.0], [1.0]) == pytest.approx(0.0, abs=1e-15)
     assert log_sum_exp([0.0, np.log(3.0)], [0.5, 0.5]) == pytest.approx(np.log(2.0))
     assert log_sum_exp([1000.0, 1000.0], [1.0, 1.0]) == pytest.approx(1000.0 + np.log(2.0))
+    # a 2-D call reduces every row and equals the 1-D call on it bit for bit
+    rng = np.random.default_rng(3)
+    values = rng.normal(scale=30.0, size=(6, 9))
+    for weights in (None, rng.uniform(0.0, 1.0, 9), np.r_[0.0, rng.uniform(0.0, 1.0, 8)]):
+        rows = log_sum_exp(values, weights)
+        assert rows.shape == (6,)
+        assert [float(r) for r in rows] == [log_sum_exp(v, weights) for v in values]
 
 
 def test_log_sum_exp_ignores_zero_weight():
     assert log_sum_exp([5.0, 99.0], [1.0, 0.0]) == pytest.approx(5.0)
-    assert np.isfinite(log_sum_exp([0.0, np.inf], [1.0, 0.0])) is not False
+    assert log_sum_exp([0.0, np.inf], [1.0, 0.0]) == 0.0
+    assert list(log_sum_exp([[0.0, np.inf], [2.0, np.nan]], [1.0, 0.0])) == [0.0, 2.0]
 
 
 def test_log_sum_exp_domain_errors():
@@ -167,4 +175,10 @@ def test_log_sum_exp_domain_errors():
         log_sum_exp([1.0, 2.0], [0.0, 0.0])
     with pytest.raises(DomainError):
         log_sum_exp([1.0], [-0.5])
+    with pytest.raises(DomainError):
+        log_sum_exp(np.zeros((2, 0)))
+    with pytest.raises(DimensionMismatch):
+        log_sum_exp(np.zeros((2, 3)), [1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        log_sum_exp(np.zeros((2, 2, 2)))
 
