@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -518,6 +520,50 @@ def test_golden_replication_metrics(name):
     assert set(m.samples) == set(GOLDEN_METRICS[name])
     for key, expect in GOLDEN_METRICS[name].items():
         np.testing.assert_allclose(m.samples[key], expect, rtol=1e-9, atol=0, err_msg=key)
+
+
+def _metrics_digest(m) -> str:
+    """SHA-256 prefix of every per-replication metric as float.hex."""
+    doc = {k: [float(x).hex() for x in v] for k, v in sorted(m.samples.items())}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# Bit-exact pins of simulate (every per-replication metric), recorded before
+# the per-period load setup and the array menu: the golden settings, a
+# supply of 150 loads a period (past _Loads' initial capacity of 64 in one
+# period) for each framework, and greedy bundling capped at one bundle.
+BIT_PINS = {
+    "golden/min_empty_miles": "5a44516325a5449b",
+    "golden/no_bundle": "299e21fa8af0747d",
+    "golden/personalized": "02fed7d20bad4044",
+    "golden/rolling_custom": "e30de26e94bd9680",
+    "golden/rolling_linear": "14ee59161733be9e",
+    "golden/sequential_logit": "16e84eafecc25a78",
+    "burst/no_bundle": "db6cb74c3054387a",
+    "burst/rolling_horizon": "6a7cd1e71dc948f6",
+    "burst/personalized": "bfef5de1632096be",
+    "one_bundle/rolling_horizon": "aa501eec70098d33",
+    "one_bundle/personalized": "6a2a1654a0e4bec5",
+}
+
+
+def _pin_config(case: str) -> SimConfig:
+    kind, name = case.split("/")
+    if kind == "golden":
+        cfg = demo_sim_config(seed=3, replications=3, **GOLDEN_SETTINGS[name])
+        return dataclasses.replace(cfg, horizon_periods=400)
+    if kind == "burst":
+        cfg = demo_sim_config("custom", seed=5, replications=1, framework=name)
+        return dataclasses.replace(cfg, supply=SupplyModel(rate=150, lifetime=(2, 3)),
+                                   horizon_periods=20)
+    cfg = demo_sim_config("custom", seed=3, replications=3, framework=name)
+    return dataclasses.replace(cfg, horizon_periods=400, max_bundles=1)
+
+
+@pytest.mark.parametrize("case", sorted(BIT_PINS))
+def test_simulate_bit_pins(case):
+    m = simulate(_pin_config(case), demo_coeffs(aversion=-3.0), demo_regions())
+    assert _metrics_digest(m) == BIT_PINS[case]
 
 
 class TestConfigs:
