@@ -9,7 +9,7 @@ freight instances (beta_p > 0, minimize cost).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -413,14 +413,15 @@ def greedy_bundle(
 
 
 def min_empty_miles(
-    loads: Sequence[Item], ehat_dst: Sequence[float]
+    loads: Sequence[Item], ehat_dst: Sequence[float], max_bundles: Optional[int] = None
 ) -> OptionSet:
     """Pairing that minimizes expected empty miles after drop-offs.
 
     ehat_dst[k] is the expected deadhead of load k's destination region.
     Pairing load l behind load k replaces k's trailing deadhead with the
     dropoff(k) -> pickup(l) distance; the equivalent set-partitioning
-    problem maximizes those savings (ties resolve to no pairing).
+    problem maximizes those savings (ties resolve to no pairing) with at
+    most max_bundles pairs (None: no cap).
     """
     for it in loads:
         if it.freight is None:
@@ -448,7 +449,7 @@ def min_empty_miles(
         options=options,
         rewards=np.asarray(rewards),
         item_ids=ids,
-        max_bundles=len(ids),
+        max_bundles=len(ids) if max_bundles is None else max_bundles,
     )
     z, _ = bnb_solve(milp)
     return OptionSet(tuple(assignment_options(milp, z)))

@@ -275,8 +275,7 @@ def cmd_simulate(args) -> int:
     else:
         from .freight import demo_sim_config
 
-        cfg = demo_sim_config(pricing=args.pricing, seed=args.seed,
-                              replications=args.seeds if args.seeds > 1 else 20)
+        cfg = demo_sim_config(pricing=args.pricing, seed=args.seed, replications=args.seeds)
     coeffs = demo_coeffs()
     regions = demo_regions()
     if args.coeffs:
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", help="FreightCoeffs JSON file")
     p.add_argument("--regions", help="RegionModel JSON file")
     p.add_argument("--pricing", default="custom", choices=["linear", "custom"])
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, seeds=20)
 
     p = sub.add_parser("condition-scatter", help="first-order bundling condition samples")
     p.add_argument("--lambda-grid", default="2:30:12:log")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +25,7 @@ from scipy import stats
 
 from .errors import ConfigError, DomainError, MissingFreightData, config_errors
 from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
-from .numerics import lambert_w_exp, log_sum_exp
+from .numerics import _lse_kernel, _lse_weights, lambert_w_exp, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -211,12 +213,10 @@ def _closed_form_price(q: np.ndarray, delta: np.ndarray, beta_p: float, pmf) -> 
     return delta - (1.0 + gam @ pmf) / beta_p
 
 
-def _log_trajectory(pbar, kappa, togo, beta_p: float):
-    """Array form of log_price; togo = alpha * mu * (periods after this one)."""
-    x = -(beta_p * pbar + kappa)
-    with np.errstate(divide="ignore"):  # togo = 0: log 0 = -inf leaves x unchanged
-        inner = np.logaddexp(x, np.log(togo))
-    return (-1.0 / beta_p) * (inner + kappa)
+def _log_trajectory(offset, kappa, log_togo, beta_p: float):
+    """Array form of log_price from the load's offset -(beta_p pbar + kappa)
+    and log_togo = ln(alpha * mu * (periods after this one))."""
+    return (-1.0 / beta_p) * (np.logaddexp(offset, log_togo) + kappa)
 
 
 def expiration_price(load: Item, coeffs: FreightCoeffs, regions: RegionModel) -> float:
@@ -250,7 +250,10 @@ def log_price(
     tbar = load.freight.expiration
     if t < 0 or t > tbar - 1:
         raise DomainError(f"t={t} outside [0, {tbar - 1}]")
-    return float(_log_trajectory(pbar, kappa, alpha * mu * (tbar - 1 - t), coeffs.beta_p))
+    offset = -(coeffs.beta_p * pbar + kappa)
+    with np.errstate(divide="ignore"):  # the last period: log 0 = -inf leaves the offset
+        log_togo = np.log(alpha * mu * (tbar - 1 - t))
+    return float(_log_trajectory(offset, kappa, log_togo, coeffs.beta_p))
 
 
 def load_marginal_value(price, kappa, beta_p: float):
@@ -365,6 +368,8 @@ class SimConfig:
             object.__setattr__(self, "topk_pmf", pmf)
         if self.replications < 1:
             raise ConfigError("need at least one replication")
+        if self.max_bundles is not None and self.max_bundles < 0:
+            raise ConfigError("max_bundles must be nonnegative")
 
     @classmethod
     def from_json(cls, text: str):
@@ -435,43 +440,67 @@ class SimMetrics:
 
 class _Loads:
     """Every load of one replication as a struct of arrays indexed by uid.
-    add() records the geometry; the caller fills q, kappa and pbar for each
-    period's new loads in one pass. The arrays double in length when full."""
 
-    def __init__(self, n_regions: int, capacity: int = 64):
+    add() appends one supply period's loads in one pass and sets up all
+    that later pricing reads: the geometry (approach miles from each region
+    centroid, origin and destination regions, loaded miles) and the pricing
+    state (singleton quality q, kappa = ln E_X[e^q], and the log-trajectory
+    offset -(beta_p pbar + kappa) of the expiration price pbar). The arrays
+    double in length until a batch fits."""
+
+    _FIELDS = ("pickup", "dropoff", "approach", "dist", "expiry", "lifetime", "org", "dst",
+               "q", "kappa", "offset", "alive")
+
+    def __init__(self, regions: RegionModel, coeffs: FreightCoeffs, penalty_per_mile: float,
+                 capacity: int = 64):
+        self.regions = regions
+        self.coeffs = coeffs
+        self.penalty_per_mile = penalty_per_mile
+        self.lse_weights = _lse_weights(regions.arrival_pmf, regions.n_regions)
+        r = regions.n_regions
         self.size = 0
         self.pickup = np.empty((capacity, 2))
         self.dropoff = np.empty((capacity, 2))
-        self.approach = np.empty((capacity, n_regions))  # centroid -> pickup miles
+        self.approach = np.empty((capacity, r))  # centroid -> pickup miles
         self.dist = np.empty(capacity)
         self.expiry = np.empty(capacity, dtype=np.int64)
         self.lifetime = np.empty(capacity, dtype=np.int64)
         self.org = np.empty(capacity, dtype=np.int64)  # region nearest the pickup
         self.dst = np.empty(capacity, dtype=np.int64)  # region nearest the dropoff
-        self.q = np.empty((capacity, n_regions))  # singleton quality
+        self.q = np.empty((capacity, r))  # singleton quality
         self.kappa = np.empty(capacity)
-        self.pbar = np.empty(capacity)
+        self.offset = np.empty(capacity)  # -(beta_p pbar + kappa)
+        self.alive = np.zeros(capacity, dtype=bool)  # neither booked nor expired
 
-    def add(self, pickup, dropoff, expiry: int, lifetime: int, regions: RegionModel) -> int:
-        if self.size == len(self.dist):
-            for name, arr in list(vars(self).items()):
-                if isinstance(arr, np.ndarray):
-                    setattr(self, name, np.concatenate([arr, np.empty_like(arr)]))
-        uid = self.size
-        self.size += 1
-        self.pickup[uid] = pickup
-        self.dropoff[uid] = dropoff
-        self.approach[uid] = np.hypot(
-            regions.centroids[:, 0] - pickup[0], regions.centroids[:, 1] - pickup[1]
-        )
-        self.dist[uid] = _dist(pickup, dropoff)
-        self.expiry[uid] = expiry
-        self.lifetime[uid] = lifetime
-        self.org[uid] = np.argmin(self.approach[uid])
-        self.dst[uid] = regions.nearest(dropoff)
-        return uid
+    def add(self, pickup, dropoff, expiry, lifetime) -> np.ndarray:
+        """Append the loads pickup[k] -> dropoff[k] (arrays (n, 2)) with their
+        expiry periods and lifetimes; returns their uids."""
+        pickup, dropoff = np.asarray(pickup, dtype=float), np.asarray(dropoff, dtype=float)
+        n = len(pickup)
+        while self.size + n > len(self.dist):
+            for name in self._FIELDS:
+                arr = getattr(self, name)
+                setattr(self, name, np.concatenate([arr, np.zeros_like(arr)]))
+        new = slice(self.size, self.size + n)
+        self.size += n
+        c = self.regions.centroids
+        approach = np.hypot(c[:, 0] - pickup[:, :1], c[:, 1] - pickup[:, 1:])
+        org = approach.argmin(axis=1)
+        dst = np.hypot(c[:, 0] - dropoff[:, :1], c[:, 1] - dropoff[:, 1:]).argmin(axis=1)
+        dist = np.array([math.hypot(dx, dy) for dx, dy in (dropoff - pickup).tolist()])  # as _dist
+        q = _intercept(self.coeffs, dist[:, None], approach, False, org[:, None], dst[:, None])
+        kappa = _lse_kernel(q, *self.lse_weights)
+        beta_p, pmf = self.coeffs.beta_p, self.regions.arrival_pmf
+        pbar = _closed_form_price(q, self.penalty_per_mile * dist, beta_p, pmf)
+        self.pickup[new], self.dropoff[new], self.approach[new] = pickup, dropoff, approach
+        self.dist[new], self.org[new], self.dst[new] = dist, org, dst
+        self.expiry[new], self.lifetime[new] = expiry, lifetime
+        self.q[new], self.kappa[new] = q, kappa
+        self.offset[new] = -(beta_p * pbar + kappa)
+        self.alive[new] = True
+        return np.arange(new.start, new.stop)
 
-    def quality(self, first, last, coeffs: FreightCoeffs) -> np.ndarray:
+    def quality(self, first, last) -> np.ndarray:
         """Utility intercepts, shape (k, R), of the options first[k] then
         last[k] (first == last for a singleton); quality_vector for many
         options at once."""
@@ -479,8 +508,49 @@ class _Loads:
         gap = self.pickup[last] - self.dropoff[first]
         gap = np.where(pair, np.hypot(gap[:, 0], gap[:, 1]), 0.0)
         loaded = np.where(pair, self.dist[first] + self.dist[last], self.dist[first])
-        return _intercept(coeffs, loaded[:, None], self.approach[first] + gap[:, None],
+        return _intercept(self.coeffs, loaded[:, None], self.approach[first] + gap[:, None],
                           pair[:, None], self.org[first][:, None], self.dst[last][:, None])
+
+
+class _Menu:
+    """The options on offer, a partition of the alive loads, kept as arrays
+    between arrivals: each option's first and last load uid (equal for a
+    singleton), its quality row and the row indices of the pairs. They
+    change only when the menu does: loads appended at supply, options
+    dropped with their loads, or the whole menu set by a rebuild."""
+
+    def __init__(self, loads: _Loads):
+        self.loads = loads
+        uids = np.empty(0, dtype=np.int64)
+        self.set(uids, uids, loads.q[uids])
+
+    def set(self, first, last, q):
+        self.first, self.last, self.q = first, last, q
+        self.pairs = (first != last).nonzero()[0]
+
+    def append(self, uids):
+        """Offer the loads uids as singletons after the current options."""
+        self.set(np.concatenate([self.first, uids]), np.concatenate([self.last, uids]),
+                 np.concatenate([self.q, self.loads.q[uids]]))
+
+    def remove(self, j: int):
+        """Remove option j, whose loads are gone."""
+        keep = np.arange(len(self.first)) != j
+        self.set(self.first[keep], self.last[keep], self.q[keep])
+
+    def drop_dead(self):
+        """Remove the options with a load that is no longer alive; a pair
+        that loses one member leaves the other as a singleton in its place."""
+        alive = self.loads.alive
+        live_first, live_last = alive[self.first], alive[self.last]
+        keep = live_first | live_last
+        first = np.where(live_first, self.first, self.last)[keep]
+        last = np.where(live_last, self.last, self.first)[keep]
+        q = self.q[keep]
+        broken = (live_first != live_last)[keep]
+        if broken.any():
+            q[broken] = self.loads.q[first[broken]]
+        self.set(first, last, q)
 
 
 def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
@@ -492,7 +562,7 @@ def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
     if len(utilities) == 0:
         return -1
     if mode == "mnl":
-        m = max(0.0, float(np.max(utilities)))
+        m = max(0.0, float(utilities.max()))
         w = np.exp(utilities - m)
         w0 = math.exp(-m)
         total = w0 + w.sum()
@@ -500,7 +570,7 @@ def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
         acc = w0
         if u < acc:
             return -1
-        for i, wi in enumerate(w):
+        for i, wi in enumerate(w.tolist()):
             acc += wi
             if u < acc:
                 return i
@@ -513,22 +583,23 @@ def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
     raise ConfigError(f"unknown choice mode {mode!r}")
 
 
-def _greedy_pairs(loads: _Loads, uids, marginals, coeffs, pmf, max_bundles, region=None):
+def _greedy_pairs(loads: _Loads, uids, marginals, max_bundles, region=None):
     """Greedy partition of the active loads uids into singletons and ordered
     pairs by expected acceptance weight at the estimated marginals. Ties go
-    to the singletons, then to the pairs in row-major order."""
+    to the singletons, then to the pairs in row-major order. Returns the
+    chosen options in sweep order as first and last positions in uids
+    (equal for a singleton) and their quality rows."""
     n = len(uids)
-    if n == 0:
-        return []
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     first = np.concatenate([np.arange(n), ii])
     last = np.concatenate([np.arange(n), jj])
     dm = np.where(first != last, marginals[first] + marginals[last], marginals[first])
-    q = loads.quality(uids[first], uids[last], coeffs)
+    q = loads.quality(uids[first], uids[last])
+    beta_p = loads.coeffs.beta_p
     keys = (
-        log_sum_exp(q + coeffs.beta_p * dm[:, None], pmf)
+        log_sum_exp(q + beta_p * dm[:, None], loads.regions.arrival_pmf)
         if region is None
-        else q[:, region] + coeffs.beta_p * dm
+        else q[:, region] + beta_p * dm
     )
     members = list(zip(first.tolist(), last.tolist()))
     used = [False] * n
@@ -539,16 +610,19 @@ def _greedy_pairs(loads: _Loads, uids, marginals, coeffs, pmf, max_bundles, regi
         i, j = members[k]
         if used[i] or used[j] or (i != j and bundles >= cap):
             continue
-        chosen.append((i, j) if i != j else (i,))
+        chosen.append(k)
         used[i] = used[j] = True
         covered += 1 if i == j else 2
         bundles += i != j
         if covered == n:
             break
-    return chosen
+    chosen = np.array(chosen, dtype=np.int64)
+    return first[chosen], last[chosen], q[chosen]
 
 
-def _empty_mile_pairs(loads: _Loads, uids, regions):
+def _empty_mile_pairs(loads: _Loads, uids, max_bundles):
+    """min_empty_miles pairing of the loads uids, as first and last
+    positions in uids (equal for a singleton)."""
     from .bundling import min_empty_miles
 
     items = [
@@ -562,20 +636,27 @@ def _empty_mile_pairs(loads: _Loads, uids, regions):
         )
         for k, u in enumerate(uids)
     ]
-    ehat_dst = [float(regions.ehat[loads.dst[u]]) for u in uids]
-    chosen = min_empty_miles(items, ehat_dst)
-    return [o.items for o in chosen]
+    ehat_dst = loads.regions.ehat[loads.dst[uids]]
+    groups = [o.items for o in min_empty_miles(items, ehat_dst, max_bundles)]
+    return np.array([g[0] for g in groups]), np.array([g[-1] for g in groups])
 
 
-def _cdf(pmf) -> np.ndarray:
-    """CDF for draws with cdf.searchsorted(rng.random(), side="right"),
-    which reproduces rng.choice(len(pmf), p=pmf) draw for draw."""
+def _cdf(pmf) -> list:
+    """CDF for draws with bisect_right(cdf, rng.random()), which reproduces
+    rng.choice(len(pmf), p=pmf) draw for draw."""
     cdf = np.cumsum(np.asarray(pmf, dtype=float))
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
 def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionModel, seed: int):
+    """One replication, period by period: (a) supply: each new load's draws
+    in turn, then one _Loads.add for the whole period, its loads appended
+    to the menu as singletons; (b) expirations from the bucket of loads due
+    this period, salvaged at the penalty; (b') the rolling rebuild; (c) at
+    most one carrier arrival, who sees the top-k of the menu (rebuilt for
+    the carrier's region under personalized) priced at this period's
+    trajectory, and books at most one option."""
     rng = np.random.default_rng(seed)
     sup = config.supply
     n_regions = regions.n_regions
@@ -593,14 +674,17 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
             dropoff_cdfs[org] = _cdf(w / w.sum())
     arrival_cdf = _cdf(pmf)
     topk_cdf = _cdf(truncated_geometric_pmf() if config.topk_pmf is None else config.topk_pmf)
+    lo, hi = sup.lifetime
     beta_p = coeffs.beta_p
     mu = config.arrival_prob
+    with np.errstate(divide="ignore"):  # a load's last period: log 0 = -inf
+        log_togo = np.log(config.alpha * mu * np.arange(hi))  # by periods after this one
     penalty_per_mile = config.salvage_multiplier * config.reference_cost_per_mile
     personalized = config.framework == "personalized"
 
-    loads = _Loads(n_regions)
-    active: list[int] = []  # uids, ascending
-    menu: list[tuple] = []  # options as tuples of uids; a partition of active
+    loads = _Loads(regions, coeffs, penalty_per_mile)
+    menu = _Menu(loads)
+    expiring = defaultdict(list)  # period -> uids that expire then, ascending
     cost = 0.0
     loaded_miles = 0.0
     empty_miles = 0.0
@@ -613,56 +697,46 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
 
     def load_prices(uids, now):
         """Current trajectory prices and marginal values of the loads uids."""
-        togo = config.alpha * mu * (loads.expiry[uids] - now - 1)
-        price = _log_trajectory(loads.pbar[uids], loads.kappa[uids], togo, beta_p)
-        return price, load_marginal_value(price, loads.kappa[uids], beta_p)
+        kappa = loads.kappa[uids]
+        togo = log_togo[loads.expiry[uids] - (now + 1)]
+        price = _log_trajectory(loads.offset[uids], kappa, togo, beta_p)
+        return price, load_marginal_value(price, kappa, beta_p)
 
     def rebuild_menu(now, region=None):
-        if not active:
-            return []
-        uids = np.array(active)
+        uids = np.flatnonzero(loads.alive[:loads.size])
+        if uids.size == 0:
+            menu.set(uids, uids, loads.q[uids])
+            return
         if config.bundling == "greedy":
             marg = load_prices(uids, now)[1]
-            groups = _greedy_pairs(loads, uids, marg, coeffs, pmf, config.max_bundles, region)
+            first, last, q = _greedy_pairs(loads, uids, marg, config.max_bundles, region)
         else:
-            groups = _empty_mile_pairs(loads, uids, regions)
-        return [tuple(active[i] for i in g) for g in groups]
-
-    def drop_loads(gone: set):
-        """Remove the loads gone; a bundle that loses one member leaves the
-        other as a singleton in its place."""
-        nonlocal active, menu
-        active = [u for u in active if u not in gone]
-        if not personalized:
-            kept = []
-            for opt in menu:
-                if gone.isdisjoint(opt):
-                    kept.append(opt)
-                else:
-                    kept.extend((u,) for u in opt if u not in gone)
-            menu = kept
+            first, last = _empty_mile_pairs(loads, uids, config.max_bundles)
+            q = loads.quality(uids[first], uids[last])
+        menu.set(uids[first], uids[last], q)
 
     for now in range(1, config.horizon_periods + 1):
         # (a) supply
         n_new = rng.poisson(sup.rate)
-        for _ in range(n_new):
-            org = int(pickup_cdf.searchsorted(rng.random(), side="right"))
-            dst = int(dropoff_cdfs[org].searchsorted(rng.random(), side="right"))
-            pickup = regions.centroids[org] + sup.scatter * rng.standard_normal(2)
-            dropoff = regions.centroids[dst] + sup.scatter * rng.standard_normal(2)
-            life = int(rng.integers(sup.lifetime[0], sup.lifetime[1] + 1))
-            uid = loads.add(pickup, dropoff, now + life, life, regions)
-            active.append(uid)
-            if not personalized:
-                menu.append((uid,))
         if n_new:
-            new = np.arange(loads.size - n_new, loads.size)
-            q = loads.q[new] = loads.quality(new, new, coeffs)
-            loads.kappa[new] = log_sum_exp(q, pmf)
-            loads.pbar[new] = _closed_form_price(q, penalty_per_mile * loads.dist[new], beta_p, pmf)
+            orgs, dsts, scatter, life = [], [], [], []
+            for _ in range(n_new):
+                org = bisect_right(pickup_cdf, rng.random())
+                orgs.append(org)
+                dsts.append(bisect_right(dropoff_cdfs[org], rng.random()))
+                scatter.append(rng.standard_normal(4))  # pickup x, y then dropoff x, y
+                life.append(int(rng.integers(lo, hi + 1)))
+            scatter = sup.scatter * np.array(scatter)
+            life = np.array(life)
+            new = loads.add(regions.centroids[orgs] + scatter[:, :2],
+                            regions.centroids[dsts] + scatter[:, 2:], now + life, life)
+            for u, t in zip(new.tolist(), (now + life).tolist()):
+                expiring[t].append(u)
+            if not personalized:
+                menu.append(new)
 
         # (b) expirations
-        expired = [u for u in active if loads.expiry[u] <= now]
+        expired = [u for u in expiring.pop(now, ()) if loads.alive[u]]
         for u in expired:
             penalty = penalty_per_mile * loads.dist[u]
             cost += penalty
@@ -672,55 +746,56 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
             empty_miles += loads.approach[u, loads.org[u]]
             salvaged += 1
         if expired:
-            drop_loads(set(expired))
+            loads.alive[expired] = False
+            if not personalized:
+                menu.drop_dead()
 
         # (b') rolling recompute
         if config.framework == "rolling_horizon" and (now - 1) % config.rolling_period == 0:
-            menu = rebuild_menu(now)
+            rebuild_menu(now)
 
         # (c) carrier arrival
         if rng.random() >= mu:
             continue
-        region = int(arrival_cdf.searchsorted(rng.random(), side="right"))
+        region = bisect_right(arrival_cdf, rng.random())
         if personalized:
-            menu = rebuild_menu(now, region=region)
-        if not menu:
+            rebuild_menu(now, region=region)
+        m = menu.first.size
+        if not m:
             continue
-        # price every option on the menu in one pass
-        m = len(menu)
-        first = np.array([opt[0] for opt in menu])
-        last = np.array([opt[-1] for opt in menu])
-        pair = first != last
-        price, marg = load_prices(np.concatenate([first, last]), now)
-        margins = np.where(pair, marg[:m] + marg[m:], marg[:m])
-        prices = price[:m].copy()
-        q = loads.q[first]
-        if pair.any():
-            q[pair] = loads.quality(first[pair], last[pair], coeffs)
+        # price the menu in one pass; with no pair only the first members
+        pairs = menu.pairs
+        uids = np.concatenate([menu.first, menu.last[pairs]]) if pairs.size else menu.first
+        price, marg = load_prices(uids, now)
+        prices, margins = price[:m], marg[:m]
+        if pairs.size:
+            margins[pairs] += marg[m:]
             if config.pricing == "linear":
-                prices[pair] += price[m:][pair]
+                prices[pairs] += price[m:]
             else:
-                prices[pair] = _closed_form_price(q[pair], margins[pair], beta_p, pmf)
-        order = np.argsort(-(q[:, region] + beta_p * margins), kind="stable")
-        k_obs = int(topk_cdf.searchsorted(rng.random(), side="right"))
-        shown = order[:k_obs]
+                prices[pairs] = _closed_form_price(menu.q[pairs], margins[pairs], beta_p, pmf)
+        q_region = menu.q[:, region]
+        order = (-(q_region + beta_p * margins)).argsort(kind="stable")
+        shown = order[:bisect_right(topk_cdf, rng.random())]
         if shown.size == 0:
             continue
-        pick = sample_choice(rng, q[shown, region] + beta_p * prices[shown], config.choice_mode)
+        pick = sample_choice(rng, q_region[shown] + beta_p * prices[shown], config.choice_mode)
         if pick < 0:
             continue
         j = int(shown[pick])
-        opt = menu[j]
+        first, last = int(menu.first[j]), int(menu.last[j])
         cost += prices[j]
         price_paid += prices[j]
-        empty_miles += loads.approach[opt[0], region]
-        if len(opt) > 1:
-            empty_miles += _dist(loads.dropoff[opt[0]], loads.pickup[opt[1]])
-        for u in opt:
+        empty_miles += loads.approach[first, region]
+        if first != last:
+            empty_miles += _dist(loads.dropoff[first], loads.pickup[last])
+        for u in (first,) if first == last else (first, last):
             loaded_miles += loads.dist[u]
             booked_miles += loads.dist[u]
             booked += 1
-        drop_loads(set(opt))
+        loads.alive[[first, last]] = False
+        if not personalized:
+            menu.remove(j)
 
     resolved = booked + salvaged
     return {

@@ -366,6 +366,13 @@ class TestMinEmptyMiles:
             best = brute_force_pairings(loads, ehat)
             assert got == pytest.approx(best, abs=1e-8)
 
+    def test_max_bundles_caps_the_pairs(self):
+        loads = self.make_loads(0, 6)
+        ehat = [100.0] * 6
+        assert min_empty_miles(loads, ehat).bundle_count == 3
+        assert min_empty_miles(loads, ehat, max_bundles=1).bundle_count == 1
+        assert min_empty_miles(loads, ehat, max_bundles=0).bundle_count == 0
+
     def test_missing_freight(self):
         with pytest.raises(MissingFreightData):
             min_empty_miles([Item(0)], [1.0])

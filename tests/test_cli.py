@@ -194,6 +194,12 @@ class TestOutputs:
         assert code == 0
         assert json.loads(text)["options"] == [[0]]
 
+    def test_simulate_seeds_one_runs_one_replication(self, tmp_path):
+        code, text = run(tmp_path, "simulate", "--seeds", "1", "--format", "json")
+        assert code == 0
+        samples = json.loads(text)["samples"]
+        assert samples and all(len(v) == 1 for v in samples.values())
+
     def test_simulate_with_coeff_and_region_files(self, tmp_path):
         from uip.freight import demo_coeffs, demo_regions
 

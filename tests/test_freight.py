@@ -48,6 +48,11 @@ def centroid_load(expiration=10):
     return Item(0, freight=FreightItemData((0.0, 0.0), (0.0, 0.0), expiration))
 
 
+def _options(first, last, q):
+    """_greedy_pairs' chosen options as tuples of positions."""
+    return [(i,) if i == j else (i, j) for i, j in zip(first.tolist(), last.tolist())]
+
+
 class TestPerceivedQuality:
     def test_all_zero_coeffs(self):
         regions = demo_regions()
@@ -210,14 +215,14 @@ class TestSimulatorArrays:
     def test_load_table_quality_is_perceived_quality(self):
         regions, c = demo_regions(), demo_coeffs()
         rng = np.random.default_rng(4)
-        loads = _Loads(regions.n_regions)
+        loads = _Loads(regions, c, 0.0)
         for _ in range(70):  # past the initial capacity, so the table grows
-            loads.add(rng.uniform(-20, 200, 2), rng.uniform(-20, 200, 2), 10, 10, regions)
+            loads.add(rng.uniform(-20, 200, (1, 2)), rng.uniform(-20, 200, (1, 2)), 10, 10)
         items = [Item(u, freight=FreightItemData(tuple(loads.pickup[u]),
                                                  tuple(loads.dropoff[u]), 10))
                  for u in range(loads.size)]
         first, last = np.array([3, 3, 66, 0]), np.array([3, 66, 3, 69])
-        q = loads.quality(first, last, c)
+        q = loads.quality(first, last)
         for k, (a, b) in enumerate(zip(first, last)):
             members = [items[a]] if a == b else [items[a], items[b]]
             np.testing.assert_allclose(q[k], quality_vector(members, c, regions), rtol=1e-12)
@@ -236,17 +241,16 @@ class TestSimulatorArrays:
     def test_greedy_tie_break_prefers_singletons_then_row_major_pairs(self):
         regions = demo_regions()
         c = zeroish_coeffs(beta_p=1.0, n=4)
-        loads = _Loads(regions.n_regions)
+        loads = _Loads(regions, c, 0.0)
         for _ in range(3):
-            loads.add(np.zeros(2), np.zeros(2), 10, 10, regions)
+            loads.add(np.zeros((1, 2)), np.zeros((1, 2)), 10, 10)
         uids = np.arange(3)
-        pmf = regions.arrival_pmf
         # every key equal: the singletons, in order
-        assert _greedy_pairs(loads, uids, np.zeros(3), c, pmf, None) == [(0,), (1,), (2,)]
+        assert _options(*_greedy_pairs(loads, uids, np.zeros(3), None)) == [(0,), (1,), (2,)]
         # every pair beats every singleton, and the pairs tie: (0, 1) first
-        assert _greedy_pairs(loads, uids, np.ones(3), c, pmf, None) == [(0, 1), (2,)]
-        assert _greedy_pairs(loads, uids, np.ones(3), c, pmf, None, region=2) == [(0, 1), (2,)]
-        assert _greedy_pairs(loads, uids, np.ones(3), c, pmf, 0) == [(0,), (1,), (2,)]
+        assert _options(*_greedy_pairs(loads, uids, np.ones(3), None)) == [(0, 1), (2,)]
+        assert _options(*_greedy_pairs(loads, uids, np.ones(3), None, region=2)) == [(0, 1), (2,)]
+        assert _options(*_greedy_pairs(loads, uids, np.ones(3), 0)) == [(0,), (1,), (2,)]
 
 
 class TestChoiceSampling:
@@ -342,6 +346,17 @@ class TestSimulate:
                                 supply=SupplyModel(rate=0.15, lifetime=(15, 30)))
         m = simulate(cfg, demo_coeffs(), demo_regions())
         assert np.isfinite(m.cost_per_loaded_mile)
+
+    def test_min_empty_miles_honours_max_bundles(self):
+        # with no bundle allowed, min-empty-miles pairing is no bundling at all
+        base = dataclasses.replace(demo_sim_config("custom", seed=3, replications=2),
+                                   horizon_periods=600)
+        capped = simulate(dataclasses.replace(base, bundling="min_empty_miles", max_bundles=0),
+                          demo_coeffs(), demo_regions())
+        plain = simulate(dataclasses.replace(base, framework="no_bundle"),
+                         demo_coeffs(), demo_regions())
+        for key, expect in plain.samples.items():
+            assert capped.samples[key].tolist() == expect.tolist(), key
 
     def test_directional_custom_beats_linear_quick(self):
         coeffs = demo_coeffs(aversion=-3.0)
@@ -578,6 +593,8 @@ class TestConfigs:
                       topk_pmf=np.array([0.5, 0.4]))
         with pytest.raises(ConfigError):
             SupplyModel(rate=-1.0, lifetime=(5, 10))
+        with pytest.raises(ConfigError):
+            SimConfig(supply=sup, horizon_periods=10, seed=0, max_bundles=-1)
 
     def test_config_json_roundtrip(self):
         import json

@@ -162,6 +162,21 @@ def test_log_sum_exp_examples():
         assert [float(r) for r in rows] == [log_sum_exp(v, weights) for v in values]
 
 
+@pytest.mark.parametrize("width", range(1, 10))
+def test_log_sum_exp_rows_equal_the_1d_call_at_every_width(width):
+    # rows shorter than 8 reduce column-major, longer ones C-ordered; in
+    # either order of the input each row equals the 1-D call bit for bit
+    rng = np.random.default_rng(width)
+    values = rng.normal(scale=30.0, size=(40, width))
+    weights = [None, rng.uniform(0.1, 1.0, width)]
+    if width > 1:
+        weights.append(np.where(np.arange(width) == width // 2, 0.0, weights[1]))
+    for w in weights:
+        expect = [log_sum_exp(v, w).hex() for v in values]
+        for layout in (values, np.asfortranarray(values)):
+            assert [r.hex() for r in log_sum_exp(layout, w).tolist()] == expect
+
+
 def test_log_sum_exp_ignores_zero_weight():
     assert log_sum_exp([5.0, 99.0], [1.0, 0.0]) == pytest.approx(5.0)
     assert log_sum_exp([0.0, np.inf], [1.0, 0.0]) == 0.0
