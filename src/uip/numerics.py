@@ -118,7 +118,7 @@ def _lse_weights(weights, n: int):
     return (w, None) if mask.all() else (w[mask], mask)
 
 
-def _lse_kernel(v: np.ndarray, w: np.ndarray, mask=None) -> np.ndarray:
+def _lse_kernel(v: np.ndarray, w: np.ndarray, mask) -> np.ndarray:
     """log_sum_exp of the float array v (1-D or 2-D) with weights already
     validated by _lse_weights; no checks. Rows shorter than numpy's
     8-element pairwise block are reduced column by column on a
