@@ -11,6 +11,7 @@ from uip.freight import (
     FreightCoeffs,
     RegionModel,
     SimConfig,
+    SimMetrics,
     SupplyModel,
     bundle_price,
     demo_coeffs,
@@ -579,6 +580,24 @@ def _pin_config(case: str) -> SimConfig:
 def test_simulate_bit_pins(case):
     m = simulate(_pin_config(case), demo_coeffs(aversion=-3.0), demo_regions())
     assert _metrics_digest(m) == BIT_PINS[case]
+
+
+# Bit-exact pins of the Student-t confidence half-width, as float.hex, for
+# fixed samples of n replications at confidence 0.9, 0.95 and 0.99.
+HALF_WIDTH_PINS = {
+    2: ("0x1.02dd22ca3696ep+4", "0x1.047a2996ae167p+5", "0x1.463da4f7c568ep+7"),
+    3: ("0x1.147ae9e735389p+3", "0x1.976609a60f61fp+3", "0x1.d5de7ce5c2a8cp+4"),
+    20: ("0x1.72975fce0b662p+0", "0x1.c094cb3effe40p+0", "0x1.3294a8abf4bf5p+1"),
+    200: ("0x1.b5fbfa3316c54p-2", "0x1.0551d6ac18159p-1", "0x1.58a5c08a7344ap-1"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(HALF_WIDTH_PINS))
+def test_half_width_bit_pins(n):
+    x = (np.arange(n) * 7919 % 101) / 8.0 + 3.0  # exact in binary
+    for confidence, expect in zip((0.9, 0.95, 0.99), HALF_WIDTH_PINS[n]):
+        m = SimMetrics(samples={"x": x}, confidence=confidence)
+        assert m.half_width("x").hex() == expect, confidence
 
 
 class TestConfigs:
