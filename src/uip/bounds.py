@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, DomainError, ValidityWarning
 from .model import MarketInstance, OptionSet
@@ -286,6 +285,10 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     if n == 0:
         return BoundResult(kind="fluid", value=0.0, certificate=0.0,
                            extra={"converged": True, "rho": np.zeros_like(q)})
+    # imported here, not at module level: scipy.optimize takes about a
+    # quarter of a second to load, and only fluid and static use it
+    from scipy.optimize import minimize
+
     sign = canonical_sign(beta_p)
     args = (q, pmf, -abs(beta_p), sign * xi, mu_t)
     res = minimize(
@@ -368,6 +371,8 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     if q.shape[1] == 0:
         extra = {"rho": np.zeros_like(q), "converged": True, "iterations": 0, "grad_norm": 0.0}
         return BoundResult(kind="static", value=0.0, extra=extra)
+    from scipy.optimize import minimize  # loaded on first use, as in fluid
+
     sign = canonical_sign(beta_p)
     beta_c, xi_c = -abs(beta_p), sign * xi
     args = (q, pmf, beta_c, xi_c, instance.arrival_prob, instance.horizon)

@@ -24,7 +24,7 @@ from .bounds import (
     singleton_upper_profiles,
     static,
 )
-from .errors import ConfigError, DimensionMismatch, MissingFreightData
+from .errors import ConfigError, DimensionMismatch, DomainError, MissingFreightData
 from .model import (
     BundleOption,
     Item,
@@ -343,7 +343,11 @@ def best_upper_bound_partition(
 
 
 def optimality_gap(z_star: float, value: float, beta_p: float) -> float:
-    """(Z* - V) / |Z*| in canonical orientation."""
+    """(Z* - V) / |Z*| in canonical orientation; undefined, and a
+    DomainError, when Z* is 0 (a zero-period horizon of salvage-free
+    items, where every partition is worth 0)."""
+    if z_star == 0:
+        raise DomainError("optimality gap is undefined when Z* is 0")
     s = canonical_sign(beta_p)
     return (s * z_star - s * value) / abs(z_star)
 

@@ -136,6 +136,10 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bounds_table(args) -> int:
+    if args.instance:
+        # the table averages over --seeds synthetic draws; the flag stays
+        # registered so that the spec hash of valid runs keeps its value
+        raise ConfigError("bounds-table draws synthetic instances and takes no --instance")
     lam = args.lam if args.lam is not None else float(args.L)
 
     def one(seed: int):

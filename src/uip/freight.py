@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import ConfigError, DomainError, MissingFreightData, config_errors
 from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
@@ -325,6 +325,10 @@ class SupplyModel:
         lo, hi = self.lifetime
         if lo < 1 or hi < lo:
             raise ConfigError("lifetime bounds must satisfy 1 <= lo <= hi")
+        for key in ("pickup_pmf", "dropoff_pmf"):
+            pmf = getattr(self, key)
+            if pmf is not None and (np.any(np.asarray(pmf) < 0) or not np.sum(pmf) > 0):
+                raise ConfigError(f"{key} needs nonnegative entries and positive mass")
 
 
 @dataclass(frozen=True)
@@ -370,6 +374,10 @@ class SimConfig:
             raise ConfigError("need at least one replication")
         if self.max_bundles is not None and self.max_bundles < 0:
             raise ConfigError("max_bundles must be nonnegative")
+        if self.rolling_period < 1:
+            raise ConfigError("rolling_period must be at least one period")
+        if not 0 < self.confidence < 1:
+            raise ConfigError("confidence must lie in (0, 1)")
 
     @classmethod
     def from_json(cls, text: str):
@@ -405,7 +413,7 @@ class SimMetrics:
         n = len(x)
         if n < 2:
             return 0.0
-        tq = stats.t.ppf(0.5 + self.confidence / 2.0, n - 1)
+        tq = stdtrit(n - 1, 0.5 + self.confidence / 2.0)  # the Student-t quantile, t.ppf
         return float(tq * np.std(x, ddof=1) / math.sqrt(n))
 
     @property
@@ -834,6 +842,10 @@ def simulate(config: SimConfig, coeffs: FreightCoeffs, regions: RegionModel) -> 
         "booked_miles",
         "salvaged_miles",
     )
+    for key in ("pickup_pmf", "dropoff_pmf"):
+        pmf = getattr(config.supply, key)
+        if pmf is not None and len(pmf) != regions.n_regions:
+            raise ConfigError(f"{key} has {len(pmf)} entries for {regions.n_regions} regions")
     samples = {k: np.empty(config.replications) for k in keys}
     for r in range(config.replications):
         rep_seed = (config.seed ^ splitmix64(r)) & ((1 << 63) - 1)

@@ -16,7 +16,7 @@ from uip.bundling import (
     min_empty_miles,
     optimality_gap,
 )
-from uip.errors import CapExceeded, MissingFreightData, ValidityWarning
+from uip.errors import CapExceeded, DomainError, MissingFreightData, ValidityWarning
 from uip.model import (
     CustomerModel,
     FreightItemData,
@@ -265,6 +265,15 @@ class TestZStar:
         assert z_star >= res.value - 1e-9
         gap = optimality_gap(z_star, res.value, inst.customer.price_sensitivity)
         assert gap >= -1e-9
+
+    def test_gap_undefined_at_zero_z_star(self):
+        # a zero-period horizon: every partition is worth its salvage, here 0
+        inst = generate_synthetic(0, 4, "B", 2.0, demand=0.05, max_bundle_size=2)
+        assert inst.horizon == 0
+        _, z_star = best_upper_bound_partition(inst)
+        assert z_star == 0
+        with pytest.raises(DomainError):
+            optimality_gap(z_star, 0.0, inst.customer.price_sensitivity)
 
     def test_pruned_pool_keeps_the_optimum(self):
         rng = np.random.default_rng(10)

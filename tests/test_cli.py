@@ -117,6 +117,8 @@ class TestOutputs:
           "seed": 1, "horizon": 9}, "horizon"),
         ({"supply": {"rate": 0.2, "lifetime": [10, 20], "speed": 2},
           "horizon_periods": 50, "seed": 1}, "speed"),
+        ({"supply": {"rate": 0.2, "lifetime": [10, 20], "pickup_pmf": [0.2] * 5},
+          "horizon_periods": 50, "seed": 1}, "pickup_pmf"),
     ])
     def test_bad_simulate_config_is_an_error(self, tmp_path, capsys, cfg, needle):
         p = tmp_path / "cfg.json"
@@ -170,6 +172,9 @@ class TestOutputs:
         ["exact", "--beta-p", "0"],
         ["bundle", "--n-gen", "-1"],
         ["bounds-table", "--seeds", "0"],
+        ["bounds-table", "--instance", "/nonexistent.json"],
+        ["bundle", "--lambda", "0"],
+        ["bundle", "--L", "3", "--lambda", "0.05", "--mu", "0.1"],
         ["simulate", "--seeds", "-1"],
         ["figure1", "--lambda-grid", "5"],
         ["figure1", "--lambda-grid", "0:5"],

@@ -614,6 +614,20 @@ class TestConfigs:
             SupplyModel(rate=-1.0, lifetime=(5, 10))
         with pytest.raises(ConfigError):
             SimConfig(supply=sup, horizon_periods=10, seed=0, max_bundles=-1)
+        for confidence in (2.0, 1.0, 0.0, -0.5, float("nan")):
+            with pytest.raises(ConfigError):
+                SimConfig(supply=sup, horizon_periods=10, seed=0, confidence=confidence)
+        with pytest.raises(ConfigError):
+            SimConfig(supply=sup, horizon_periods=10, seed=0, rolling_period=0)
+        for key in ("pickup_pmf", "dropoff_pmf"):
+            for pmf in ([0.5, -0.1, 0.3, 0.3], [0.0, 0.0, 0.0, 0.0]):
+                with pytest.raises(ConfigError):
+                    SupplyModel(rate=0.1, lifetime=(5, 10), **{key: np.array(pmf)})
+            for n in (3, 5):
+                bad = SupplyModel(rate=0.1, lifetime=(5, 10), **{key: np.full(n, 1.0 / n)})
+                cfg = SimConfig(supply=bad, horizon_periods=10, seed=0)
+                with pytest.raises(ConfigError):
+                    simulate(cfg, demo_coeffs(), demo_regions())
 
     def test_config_json_roundtrip(self):
         import json
