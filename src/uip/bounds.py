@@ -104,9 +104,60 @@ def _set_arrays(instance: MarketInstance, option_set: OptionSet):
     return q, xi, instance.customer.arrival_pmf, instance.customer.price_sensitivity
 
 
+def _exact_type_sums(pmf: np.ndarray) -> bool:
+    """Whether pmf @ x rounds every column of x alike wherever BLAS places
+    it: so it does for at most two types whose weights are powers of two
+    (or zero), since every product is then exact and a sum of two exact
+    terms rounds the same in either order, fused or not. Otherwise a
+    column's bits depend on its position (OpenBLAS 0.3.31's Haswell gemv
+    rounds columns in its 4-row body and in its tail differently)."""
+    mantissa, _ = np.frexp(pmf)
+    return pmf.size <= 2 and bool(np.all((mantissa == 0.5) | (pmf == 0.0)))
+
+
+def _upper_profiles(instance: MarketInstance, q: np.ndarray, xi: np.ndarray):
+    """singleton_upper_profiles on the pool's quality matrix q (types, M)
+    and salvages xi (M,), with one recursion per distinct column.
+
+    Columns of q with their salvage that are equal (np.unique over the rows
+    of [q; xi]) run one recursion, kept at the first occurrence and in pool
+    order, and r and tau are expanded back through the inverse index. Every
+    step is elementwise per column but the type-weighted sum pmf @ x, so the
+    expanded values equal the full-pool recursion bit for bit where that
+    sum is exact (_exact_type_sums: one or two types, weights powers of
+    two, as in every synthetic market); other pools, and pools without
+    repeated columns, run in full. lambert_w_exp picks its path by element
+    count, and its Newton path stops on the whole array, so a pool of more
+    than _W_SMALL_MAX elements can move by a few ulps: from Newton to
+    wrightomega where its distinct columns fit under that size.
+    """
+    cust = instance.customer
+    beta_p = cust.price_sensitivity
+    pmf = cust.arrival_pmf
+    mu = instance.arrival_prob
+    r, expand = xi, None
+    if _exact_type_sums(pmf):
+        _, first, inverse = np.unique(
+            np.vstack([q, xi]), axis=1, return_index=True, return_inverse=True
+        )
+        if first.size < xi.size:
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            expand = rank[inverse.reshape(-1)]
+            q, r = q[:, first[order]], xi[first[order]]
+    tau = np.empty((instance.horizon, r.size))
+    for t in range(1, instance.horizon + 1):
+        gam = lambert_w_exp(q + beta_p * r[None, :] - 1.0)  # (types, columns)
+        tau[t - 1] = r - (1.0 + gam.max(axis=0)) / beta_p
+        r = r + mu * (pmf @ (-gam / beta_p))
+    return (r, tau) if expand is None else (r[expand], tau[:, expand])
+
+
 def singleton_upper_profiles(instance: MarketInstance, options):
     """Individual upper bounds r_{t,i} and the homogenized trajectory tau^U
-    for an arbitrary collection of options, all recursions in parallel.
+    for an arbitrary collection of options, all recursions in parallel and
+    one per distinct (quality column, salvage) pair (_upper_profiles).
 
     Returns (r_final (M,), tau (T, M)). tau[t-1] is the extremal (over
     types) optimizer of the step that produced r_t from r_{t-1}, which is
@@ -117,19 +168,8 @@ def singleton_upper_profiles(instance: MarketInstance, options):
     canonical extremum over types, the largest price for beta_p < 0 and the
     smallest for beta_p > 0, is the price at the largest Gamma, bit for bit.
     """
-    cust = instance.customer
-    q = cust.quality_matrix(options)
-    beta_p = cust.price_sensitivity
-    pmf = cust.arrival_pmf
-    mu = instance.arrival_prob
-    T = instance.horizon
-    r = instance.salvage_vector(options)
-    tau = np.empty((T, len(options)))
-    for t in range(1, T + 1):
-        gam = lambert_w_exp(q + beta_p * r[None, :] - 1.0)  # (types, M)
-        tau[t - 1] = r - (1.0 + gam.max(axis=0)) / beta_p
-        r = r + mu * (pmf @ (-gam / beta_p))
-    return r, tau
+    q = instance.customer.quality_matrix(options)
+    return _upper_profiles(instance, q, instance.salvage_vector(options))
 
 
 def backward_upper(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
@@ -140,7 +180,7 @@ def backward_upper(instance: MarketInstance, option_set: OptionSet) -> BoundResu
     feeds the DFA.
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
-    r, tau = singleton_upper_profiles(instance, option_set.options)
+    r, tau = _upper_profiles(instance, q, xi)
     traj = PriceTrajectory(
         prices=tau,
         homogeneous=True,
@@ -183,7 +223,13 @@ def _dfa_forward(ev, tau, xi, mu_pmf):
     the K values and the (T+1, K, N) availabilities. Every step uses only
     elementwise products and sums over one set's own rows, and the value is
     added up once per step, so a set's value is bit-identical whether it is
-    evaluated alone or in any batch. The inputs are made C-contiguous first:
+    evaluated alone or in any batch. It also sums trailing pad columns of
+    zero mass (ev = tau = xi = 0), which stay fully available: a set of at
+    least 2 options padded to N < 8 keeps its value and availabilities bit
+    for bit, since numpy adds a row shorter than its 8-element pairwise
+    block in index order and the pad's exact zeros come last. (A lone
+    option is not padded: over 8 or more types its type sum is one
+    contiguous pairwise reduction.) The inputs are made C-contiguous first:
     the sums' rounding depends on the memory layout.
     """
     ev, tau, xi = (np.ascontiguousarray(x, dtype=float) for x in (ev, tau, xi))

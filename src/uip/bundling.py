@@ -17,6 +17,7 @@ from .bounds import (
     BoundResult,
     PriceTrajectory,
     _dfa_forward,
+    _upper_profiles,
     _warn_uncertified,
     dfa,
     fluid,
@@ -35,7 +36,16 @@ from .model import (
     sub_instance,
 )
 from .numerics import log_sum_exp
-from .optim import SetPartitionMilp, assignment_options, bnb_solve, enumerate_top_solutions, simplex_solve
+from .optim import (
+    EQ,
+    LE,
+    LinearProgram,
+    SetPartitionMilp,
+    assignment_options,
+    bnb_solve,
+    enumerate_top_solutions,
+    simplex_solve,
+)
 from .pricing import canonical_sign
 
 
@@ -88,18 +98,26 @@ class ColumnGenTrace:
 # Upper limit on the elements of one batch's exp(q + beta_p tau) array; a
 # larger batch is split, which leaves every value unchanged.
 _BATCH_ELEMS = 1 << 22
+# Set lengths that dfa_many pads into one recursion. numpy adds a row of
+# fewer than 8 elements one element after another (its pairwise sum works in
+# blocks of 8), so exact zeros appended to such a row change no bit of its
+# sum. One-option sets stay apart: unpadded, their sum over 8 or more
+# customer types is one contiguous pairwise reduction, whose bits padding
+# would change.
+_PAD_LENGTHS = range(2, 8)
 
 
 class _SetEvaluator:
     """DFA evaluation of sets assembled from a precomputed option pool.
 
-    Per-option individual values r and trajectories tau^U are computed once
-    for the whole pool (the recursions are independent); a set's trajectory
-    is just the corresponding columns. The pool's quality matrix, salvage
-    vector and per-column monotonicity flags are also kept once; a set is
-    certified iff all of its columns are. dfa_many groups its sets by length
-    and gathers and exponentiates exp(q + beta_p tau) per batch, so no array
-    of size T x W x M is built for the pool.
+    The pool's quality matrix and salvage vector are built once, and from
+    them the per-option individual values r and trajectories tau^U, one
+    recursion per distinct (quality column, salvage) pair (_upper_profiles);
+    a set's trajectory is just the corresponding columns. Per-column
+    monotonicity flags are also kept once; a set is certified iff all of its
+    columns are. dfa_many gathers and exponentiates exp(q + beta_p tau) per
+    batch, so no array of size T x W x M is built for the pool. A zero-mass
+    column, appended after the pool at index len(options), pads short sets.
     """
 
     def __init__(self, instance: MarketInstance, options: Sequence[BundleOption]):
@@ -107,14 +125,19 @@ class _SetEvaluator:
         cust = instance.customer
         self.beta_p = cust.price_sensitivity
         self.sign = canonical_sign(self.beta_p)
-        self.r, self.tau = singleton_upper_profiles(instance, self.options)
-        self.q = cust.quality_matrix(self.options)
-        self.xi = instance.salvage_vector(self.options)
-        self.monotone = monotone_columns(self.tau, self.xi, self.beta_p)
+        q = cust.quality_matrix(self.options)
+        xi = instance.salvage_vector(self.options)
+        self.r, self.tau = _upper_profiles(instance, q, xi)
+        self.monotone = monotone_columns(self.tau, xi, self.beta_p)
         self.mu_pmf = instance.arrival_prob * cust.arrival_pmf
         self.singleton_of = {
             o.items[0]: j for j, o in enumerate(self.options) if o.cardinality == 1
         }
+        # the pad column: q = -inf, so exp(q + beta_p tau) = 0, and tau = xi = 0
+        self._pad = len(self.options)
+        self._q = np.hstack([q, np.full((q.shape[0], 1), -np.inf)])
+        self._tau = np.hstack([self.tau, np.zeros((self.tau.shape[0], 1))])
+        self._xi = np.append(xi, 0.0)
 
     def set_of(self, indices: Sequence[int]) -> OptionSet:
         return OptionSet(tuple(self.options[j] for j in indices))
@@ -134,27 +157,42 @@ class _SetEvaluator:
             self.singleton_of[l] for l in sorted(self.singleton_of) if l not in inside
         ]
 
-    def dfa_many(self, sets: Sequence[Sequence[int]]) -> np.ndarray:
+    def dfa_many(self, sets: Sequence[Sequence[int]], availability: bool = False):
         """Canonical V^DFA of every set (a list of pool indices), equal bit
-        for bit to dfa() of that set under the pool trajectory. Sets of one
-        length share a forward recursion."""
+        for bit to dfa() of that set under the pool trajectory; with
+        availability=True also the list of each set's (T+1, N)
+        availabilities, as dfa() returns them.
+
+        All sets of 2 to 7 options (_PAD_LENGTHS) share one forward
+        recursion: each is padded at the end, to the longest of them, with
+        the zero-mass pad column, whose terms in every row sum are exact
+        zeros added after the set's own (always certified, never returned).
+        Other sets share one recursion per length.
+        """
         values = np.empty(len(sets))
-        by_len: dict[int, list[int]] = {}
+        avails = [None] * len(sets)
+        groups: dict[int, list[int]] = {}
         for k, idx in enumerate(sets):
-            by_len.setdefault(len(idx), []).append(k)
-        T, W = self.tau.shape[0], self.q.shape[0]
-        for n, ks in by_len.items():
+            groups.setdefault(-1 if len(idx) in _PAD_LENGTHS else len(idx), []).append(k)
+        T, W = self.tau.shape[0], self._q.shape[0]
+        for ks in groups.values():
+            n = max(len(sets[k]) for k in ks)
             step = max(1, _BATCH_ELEMS // max(1, T * W * n))
             for lo in range(0, len(ks), step):
                 part = ks[lo : lo + step]
-                idx = np.array([sets[k] for k in part], dtype=int)  # (K, N)
-                tau = np.take(self.tau, idx, axis=1)  # (T, K, N), C order
-                q = np.ascontiguousarray(self.q[:, idx].transpose(1, 0, 2))  # (K, W, N)
+                idx = np.full((len(part), n), self._pad)  # (K, N)
+                for row, k in enumerate(part):
+                    idx[row, : len(sets[k])] = sets[k]
+                tau = np.take(self._tau, idx, axis=1)  # (T, K, N), C order
+                q = np.ascontiguousarray(self._q[:, idx].transpose(1, 0, 2))  # (K, W, N)
                 ev = np.exp(q + self.beta_p * tau[:, :, None, :])
-                values[part] = _dfa_forward(ev, tau, self.xi[idx], self.mu_pmf)[0]
+                values[part], avail = _dfa_forward(ev, tau, self._xi[idx], self.mu_pmf)
+                if availability:
+                    for row, k in enumerate(part):
+                        avails[k] = avail[:, row, : len(sets[k])].copy()
         if not all(np.all(self.monotone[list(idx)]) for idx in sets):
             _warn_uncertified()
-        return self.sign * values
+        return (self.sign * values, avails) if availability else self.sign * values
 
 
 # Scores and DFA values this close (relative) count as tied: permutations of
@@ -175,23 +213,30 @@ def column_generation(
 ) -> tuple[OptionSet, BoundResult, ColumnGenTrace]:
     """Column-generation bundle selection.
 
-    Phase 1 computes every option's individual value and trajectory. The
-    restricted master (LP relaxation of the partition problem over the
-    generated pool, singleton rewards zero) supplies duals; candidates are
-    priced by the perturbed reduced cost, which substitutes the cheap
-    individual upper bound for the DFA of the candidate's completed set.
-    Accepted columns get their exact DFA improvement as master reward.
+    Phase 1 computes every option's individual value and trajectory, one
+    recursion per distinct (quality column, salvage) pair of the pool where
+    that keeps every bit (_upper_profiles). The restricted master (LP
+    relaxation of the partition problem over the generated pool, singleton
+    rewards zero) supplies duals; candidates are priced by the perturbed
+    reduced cost, which substitutes the cheap individual upper bound for the
+    DFA of the candidate's completed set. Accepted columns get their exact
+    DFA improvement as master reward. The master's incidence matrix, one =
+    row per item and the bundle-count row, is allocated once and each round
+    writes the accepted column into it.
     Finally enumerate_top_solutions ranks the top n_eval partitions of the
     master's columns by their rewards, and their DFA values decide the
     returned set (values within 1e-12 relative of the best tie; ties prefer
     fewer bundles, then the lexicographically smallest encoding).
 
     DFA values are computed in batches, and a set's value does not depend on
-    its batch. When the best candidate has no exact improvement yet, the
-    improvements of the candidates with positive score are computed together,
-    best perturbed score first, as many as columns may still enter, plus the
-    best candidate itself. The distinct top-n_eval partitions and S0 are
-    ranked from one batch.
+    its batch; sets of 2 to 7 options share one recursion (see
+    _SetEvaluator.dfa_many). When the best candidate has no exact
+    improvement yet, the improvements of the candidates with positive score
+    are computed together, best perturbed score first, as many as columns
+    may still enter, plus the best candidate itself. The distinct
+    top-n_eval partitions other than S0 are ranked from one batch, S0 with
+    the value computed first. The returned BoundResult carries the value
+    and availabilities of that evaluation, the same bits dfa() gives.
     """
     pool = enumerate_options(instance, cap=option_cap)
     ev = _SetEvaluator(instance, pool)
@@ -200,7 +245,8 @@ def column_generation(
 
     singleton_idx = [ev.singleton_of[l] for l in item_ids]
     s0_indices = list(singleton_idx)
-    dfa_s0 = float(ev.dfa_many([s0_indices])[0])
+    (dfa_s0,), (avail_s0,) = ev.dfa_many([s0_indices], availability=True)
+    dfa_s0 = float(dfa_s0)
     r_c = ev.sign * ev.r  # canonical individual values
     singleton_r_by_item = {l: r_c[ev.singleton_of[l]] for l in item_ids}
     total_singleton_r = sum(singleton_r_by_item.values())
@@ -216,35 +262,42 @@ def column_generation(
     base_score = vu_si - dfa_s0
 
     # item incidence of the bundle candidates, columns in dual (item_ids) order
+    m = len(item_ids)
     item_pos = {l: k for k, l in enumerate(item_ids)}
-    incidence = np.zeros((bundle_idx.size, len(item_ids)))
+    incidence = np.zeros((bundle_idx.size, m))
     for r, j in enumerate(bundle_idx):
         incidence[r, [item_pos[l] for l in pool[j].items]] = 1.0
     cand_mask = np.ones(bundle_idx.size, dtype=bool)
     improvements: dict[int, float] = {}  # exact DFA improvement by candidate
 
+    # the master's incidence matrix as SetPartitionMilp.base_lp() builds it:
+    # one = row per item in item_ids order, then the bundle-count row; the
+    # singleton columns come first, then one per accepted bundle (n_gen = 0
+    # still accepts one, as the column count is checked after it)
+    master = np.zeros((m + 1, m + max(1, config.n_gen)))
+    master[np.arange(m), np.arange(m)] = 1.0
+    rels = [EQ] * m + [LE]
+    rhs = np.append(np.ones(m), instance.max_bundles)
     columns = [j for j in singleton_idx]
     rewards = [0.0] * len(columns)
     warm = None
 
     while True:
-        lp = SetPartitionMilp(
-            [pool[j] for j in columns], rewards, item_ids, instance.max_bundles
-        ).base_lp()
+        lp = LinearProgram(np.asarray(rewards), master[:, : len(columns)], rels, rhs)
         sol = simplex_solve(lp, warm_basis=warm)
         warm = sol.basis
         master_obj = sol.objective
 
         if not np.any(cand_mask):
             break
-        dual_cost = incidence @ sol.duals[: len(item_ids)] + sol.duals[len(item_ids)]
+        dual_cost = incidence @ sol.duals[:m] + sol.duals[m]
         scores = np.where(cand_mask, base_score - dual_cost, -np.inf)
         j_rel = int(np.flatnonzero(_tied_with_best(scores))[0])
         score = float(scores[j_rel])
         if score <= 0:
             break
         if j_rel not in improvements:
-            n_left = len(item_ids) + config.n_gen - len(columns)
+            n_left = m + config.n_gen - len(columns)
             batch = [j_rel] + [
                 k
                 for k in np.argsort(-scores, kind="stable")[:n_left].tolist()
@@ -266,10 +319,12 @@ def column_generation(
                 master_objective=master_obj,
             )
         )
+        master[:m, len(columns)] = incidence[j_rel]
+        master[m, len(columns)] = 1.0
         columns.append(j_star)
         rewards.append(improvement)
         cand_mask[j_rel] = False
-        if len(columns) >= len(item_ids) + config.n_gen:
+        if len(columns) >= m + config.n_gen:
             break
 
     milp = SetPartitionMilp(
@@ -287,17 +342,29 @@ def column_generation(
     distinct = {}  # canonical encoding -> indices, first occurrence kept
     for idx in candidates:
         distinct.setdefault(ev.set_of(idx).canonical(), idx)
-    values = ev.dfa_many(list(distinct.values())).tolist()
-    ranked = []  # (value, bundle_count, canonical, indices)
-    for (key, idx), val in zip(distinct.items(), values):
+    # S0's indices are the singleton columns in item order wherever it
+    # appears, so its value and availabilities are the ones computed first
+    s0_key = ev.set_of(s0_indices).canonical()
+    others = [idx for key, idx in distinct.items() if key != s0_key]
+    vals, avails = ev.dfa_many(others, availability=True)
+    evaluated = iter(zip(vals.tolist(), avails))
+    ranked = []  # (value, bundle_count, canonical, indices, availability)
+    for key, idx in distinct.items():
+        val, avail = (dfa_s0, avail_s0) if key == s0_key else next(evaluated)
         opt_set = ev.set_of(idx)
         trace.evaluated_sets.append((opt_set, ev.sign * val))
-        ranked.append((val, opt_set.bundle_count, key, idx))
-    tied = _tied_with_best(np.array(values))
-    idx = min((r for r, t in zip(ranked, tied) if t), key=lambda r: r[1:3])[3]
-    final_set = ev.set_of(idx)
-    result = dfa(instance, final_set, ev.trajectory(idx))
-    return final_set, result, trace
+        ranked.append((val, opt_set.bundle_count, key, idx, avail))
+    tied = _tied_with_best(np.array([r[0] for r in ranked]))
+    val, _, _, idx, avail = min((r for r, t in zip(ranked, tied) if t), key=lambda r: r[1:3])
+    traj = ev.trajectory(idx)
+    result = BoundResult(
+        kind="dfa",
+        value=float(ev.sign * val),
+        trajectory=traj,
+        availability=avail,
+        certified=traj.monotone_ok,
+    )
+    return ev.set_of(idx), result, trace
 
 
 def _undominated(pool: Sequence[BundleOption], rewards: np.ndarray) -> list[int]:

@@ -73,6 +73,15 @@ def _at_least_one(flag: str, value: int) -> int:
     return value
 
 
+def _reject_ignored(args, flags: dict[str, str], reason: str) -> None:
+    """ConfigError if a flag in flags (dest -> flag) is set to other than
+    its default: the command would ignore it, yet it enters the spec hash."""
+    defaults = build_parser().parse_args([args.command])
+    given = [flag for dest, flag in flags.items() if getattr(args, dest) != getattr(defaults, dest)]
+    if given:
+        raise ConfigError(f"{reason}; drop {', '.join(given)}")
+
+
 def _load_instance(args) -> MarketInstance:
     if args.instance:
         with open(args.instance) as fh:
@@ -140,6 +149,8 @@ def cmd_bounds_table(args) -> int:
         # the table averages over --seeds synthetic draws; the flag stays
         # registered so that the spec hash of valid runs keeps its value
         raise ConfigError("bounds-table draws synthetic instances and takes no --instance")
+    _reject_ignored(args, {"kb": "--kb", "ks": "--ks"},
+                    "bounds-table prices singletons only, without bundles")
     lam = args.lam if args.lam is not None else float(args.L)
 
     def one(seed: int):
@@ -274,6 +285,8 @@ def cmd_greedy(args) -> int:
 def cmd_simulate(args) -> int:
     _at_least_one("--seeds", args.seeds)
     if args.config:
+        _reject_ignored(args, {"pricing": "--pricing", "seeds": "--seeds", "seed": "--seed"},
+                        "simulate --config takes the pricing, replications and seed from the file")
         with open(args.config) as fh:
             cfg = SimConfig.from_json(fh.read())
     else:

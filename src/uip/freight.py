@@ -605,7 +605,7 @@ def _greedy_pairs(loads: _Loads, uids, marginals, max_bundles, region=None):
     q = loads.quality(uids[first], uids[last])
     beta_p = loads.coeffs.beta_p
     keys = (
-        log_sum_exp(q + beta_p * dm[:, None], loads.regions.arrival_pmf)
+        _lse_kernel(q + beta_p * dm[:, None], *loads.lse_weights)
         if region is None
         else q[:, region] + beta_p * dm
     )

@@ -13,6 +13,7 @@ from uip.bounds import (
     dfa,
     fluid,
     monotone_columns,
+    singleton_upper_profiles,
     static,
 )
 from uip.errors import DimensionMismatch, ValidityWarning
@@ -85,6 +86,24 @@ class TestBackwardUpper:
             xi = inst.salvage_vector(s0.options)
             assert np.all(traj.prices[0] >= xi - 1e-12)
             assert np.all(np.diff(traj.prices, axis=0) >= -1e-12)
+
+
+    def test_repeated_columns_equal_each_column_alone(self):
+        # the member orders of a bundle whose quality sums round alike are
+        # bit-equal pool columns, which share one recursion; every column's
+        # r and tau equal its recursion run alone, bit for bit
+        for seed, scenario, beta_p in ((0, "A", -1.0), (3, "C", 0.8)):
+            inst = generate_synthetic(seed, 5, scenario, 1.5, demand=6.0, beta_p=beta_p,
+                                      salvage=0.2, max_bundle_size=3, max_bundles=2)
+            options = enumerate_options(inst)
+            pool = [options[j] for j in np.random.default_rng(seed).permutation(len(options))]
+            cols = np.vstack([inst.customer.quality_matrix(pool), inst.salvage_vector(pool)])
+            assert np.unique(cols, axis=1).shape[1] < len(pool)
+            r, tau = singleton_upper_profiles(inst, pool)
+            for j, option in enumerate(pool):
+                r_j, tau_j = singleton_upper_profiles(inst, [option])
+                assert r_j.tobytes() == r[j : j + 1].tobytes()
+                assert tau_j.tobytes() == tau[:, j : j + 1].copy().tobytes()
 
 
 class TestBackwardLower:

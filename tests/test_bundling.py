@@ -26,6 +26,7 @@ from uip.model import (
     enumerate_options,
     generate_synthetic,
     singletons,
+    sub_instance,
 )
 from uip.optim import SetPartitionMilp, bnb_solve
 from uip.pricing import canonical_sign
@@ -117,19 +118,44 @@ class TestSetEvaluator:
             with monkeypatch.context() as m:
                 m.setattr(uip.bundling, "_BATCH_ELEMS", 3 * inst.horizon * 2 * L)
                 assert np.array_equal(ev.dfa_many(sets), batch)
+        # one batch of set lengths 1 to 9 that holds S0: the sets of 2 to 7
+        # options share one padded recursion; over nine customer types a lone
+        # option's type sum is a pairwise reduction, which padding would
+        # change. The public dfa runs each set on the market of its items.
+        table = rng.uniform(-0.5, 1.5, size=(9, 9))
+        cust = CustomerModel(types=tuple(range(9)), arrival_pmf=np.full(9, 1 / 9),
+                             price_sensitivity=-1.2,
+                             quality=lambda o, w: 1.2 ** len(o.items) * sum(table[w, o.items]))
+        inst = MarketInstance(items=tuple(Item(i, salvage=0.05 * i) for i in range(9)),
+                              customer=cust, demand=9.0, arrival_prob=0.1, max_bundles=4,
+                              max_bundle_size=2)
+        ev = _SetEvaluator(inst, enumerate_options(inst))
+        pair = next(j for j, o in enumerate(ev.options) if o.items == (0, 1))
+        sets = [[ev.singleton_of[l] for l in range(n)] for n in range(1, 10)]
+        sets += [[pair] + [ev.singleton_of[l] for l in range(2, n + 1)] for n in range(1, 9)]
+        sets = [sets[k] for k in rng.permutation(len(sets))]
+        assert {len(idx) for idx in sets} == set(range(1, 10))
+        assert sorted(ev.singleton_of.values()) in sets
+        batch, avails = ev.dfa_many(sets, availability=True)
+        for idx, value, avail in zip(sets, batch, avails):
+            (alone,), (avail_alone,) = ev.dfa_many([idx], availability=True)
+            opt_set = ev.set_of(idx)
+            public = dfa(sub_instance(inst, opt_set.item_ids()), opt_set, ev.trajectory(idx))
+            assert value.hex() == alone.hex() == (ev.sign * public.value).hex()
+            assert avail.tobytes() == avail_alone.tobytes() == public.availability.tobytes()
 
     def test_non_monotone_column_warns(self, monkeypatch):
         # the singleton of item 0 gets a constant trajectory below its
         # salvage: monotone in t, failing at the salvage row only
-        real = uip.bundling.singleton_upper_profiles
+        real = uip.bundling._upper_profiles
 
-        def broken(instance, options):
-            r, tau = real(instance, options)
+        def broken(instance, q, xi):
+            r, tau = real(instance, q, xi)
             tau = tau.copy()
-            tau[:, 0] = instance.salvage_vector(options[:1])[0] - 0.1
+            tau[:, 0] = xi[0] - 0.1
             return r, tau
 
-        monkeypatch.setattr(uip.bundling, "singleton_upper_profiles", broken)
+        monkeypatch.setattr(uip.bundling, "_upper_profiles", broken)
         inst = generate_synthetic(2, 4, "B", 2.0, demand=3.0, salvage=0.5,
                                   max_bundle_size=2, max_bundles=2)
         ev = _SetEvaluator(inst, enumerate_options(inst))
@@ -433,6 +459,14 @@ _CG_PINS = [
      [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1eebbdfcb6fa8p+4", 51),
 ]
 
+# Work per column_generation on the _CG_PINS inputs: _dfa_forward calls (one
+# for S0, one per batch of improvements, one for the final ranking) and the
+# lambert_w_exp elements of the singleton profiles (80 periods x 2 types x
+# the pool's 112-129 distinct columns of 400). Per-length recursions or
+# profiles over the full pool (64,000 elements) fail here.
+_CG_RECURSIONS = {0: (6, 18720), 1: (6, 18720), 2: (4, 18880), 3: (6, 19040),
+                  4: (6, 17920), 5: (6, 20640)}
+
 # min_empty_miles on 10 random loads (TestMinEmptyMiles.make_loads(seed, 10),
 # deadheads uniform on [10, 80] from seed 100 + seed); these seeds branch, so
 # the dual-simplex re-solves of x_j <= 0 and x_j >= 1 rows are covered.
@@ -476,6 +510,37 @@ def test_set_partitioning_lp_pins(simplex_calls, seed, trace, last_master, chose
     assert sorted(o.items for o in z_set) == zset
     assert z.hex() == zstar
     assert len(simplex_calls) == n_lp
+
+
+@pytest.mark.parametrize("seed", sorted(_CG_RECURSIONS))
+def test_column_generation_recursion_counts(monkeypatch, seed):
+    import uip.bounds
+
+    counts = {"forward": 0, "w_elems": 0, "base_lp": 0}
+    real_forward, real_w = uip.bounds._dfa_forward, uip.bounds.lambert_w_exp
+    real_base_lp = SetPartitionMilp.base_lp
+
+    def forward(*args):
+        counts["forward"] += 1
+        return real_forward(*args)
+
+    def w(x):
+        counts["w_elems"] += np.size(x)
+        return real_w(x)
+
+    def base_lp(self):
+        counts["base_lp"] += 1
+        return real_base_lp(self)
+
+    for module in (uip.bounds, uip.bundling):
+        monkeypatch.setattr(module, "_dfa_forward", forward)
+    monkeypatch.setattr(uip.bounds, "lambert_w_exp", w)
+    monkeypatch.setattr(SetPartitionMilp, "base_lp", base_lp)
+    inst = generate_synthetic(seed, 8, "B" if seed % 2 else "C", 2.0, demand=8.0,
+                              arrival_prob=0.1, max_bundle_size=3, max_bundles=3)
+    column_generation(inst, ColumnGenConfig())
+    assert (counts["forward"], counts["w_elems"]) == _CG_RECURSIONS[seed]
+    assert counts["base_lp"] == 0
 
 
 @pytest.mark.parametrize("seed,pairs,n_lp", _PAIRING_PINS)

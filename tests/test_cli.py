@@ -109,21 +109,26 @@ class TestOutputs:
         code = main(["exact", "--instance", str(tmp_path / "nope.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("cfg, needle", [
-        ({"horizon_periods": 50, "seed": 1}, "missing key 'supply'"),
-        ({"supply": {"lifetime": [10, 20]}, "horizon_periods": 50, "seed": 1},
-         "missing key 'rate'"),
-        ({"supply": {"rate": 0.2, "lifetime": [10, 20]}, "horizon_periods": 50,
-          "seed": 1, "horizon": 9}, "horizon"),
-        ({"supply": {"rate": 0.2, "lifetime": [10, 20], "speed": 2},
-          "horizon_periods": 50, "seed": 1}, "speed"),
-        ({"supply": {"rate": 0.2, "lifetime": [10, 20], "pickup_pmf": [0.2] * 5},
-          "horizon_periods": 50, "seed": 1}, "pickup_pmf"),
+    @pytest.mark.parametrize("cfg, needle, flags", [
+        pytest.param({"horizon_periods": 50, "seed": 1}, "missing key 'supply'", [],
+                     id="cfg0-missing key 'supply'"),
+        pytest.param({"supply": {"lifetime": [10, 20]}, "horizon_periods": 50, "seed": 1},
+                     "missing key 'rate'", [], id="cfg1-missing key 'rate'"),
+        pytest.param({"supply": {"rate": 0.2, "lifetime": [10, 20]}, "horizon_periods": 50,
+                      "seed": 1, "horizon": 9}, "horizon", [], id="cfg2-horizon"),
+        pytest.param({"supply": {"rate": 0.2, "lifetime": [10, 20], "speed": 2},
+                      "horizon_periods": 50, "seed": 1}, "speed", [], id="cfg3-speed"),
+        pytest.param({"supply": {"rate": 0.2, "lifetime": [10, 20], "pickup_pmf": [0.2] * 5},
+                      "horizon_periods": 50, "seed": 1}, "pickup_pmf", [], id="cfg4-pickup_pmf"),
+        # a valid file with a flag that the file overrides
+        *[pytest.param({"supply": {"rate": 0.2, "lifetime": [10, 20]}, "horizon_periods": 50,
+                        "seed": 1}, flag, [flag, value], id=f"ignored{flag}")
+          for flag, value in (("--pricing", "linear"), ("--seeds", "5"), ("--seed", "9"))],
     ])
-    def test_bad_simulate_config_is_an_error(self, tmp_path, capsys, cfg, needle):
+    def test_bad_simulate_config_is_an_error(self, tmp_path, capsys, cfg, needle, flags):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
-        code, _ = run(tmp_path, "simulate", "--config", str(p))
+        code, _ = run(tmp_path, "simulate", "--config", str(p), *flags)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and needle in err
@@ -173,6 +178,8 @@ class TestOutputs:
         ["bundle", "--n-gen", "-1"],
         ["bounds-table", "--seeds", "0"],
         ["bounds-table", "--instance", "/nonexistent.json"],
+        ["bounds-table", "--kb", "3"],
+        ["bounds-table", "--ks", "2"],
         ["bundle", "--lambda", "0"],
         ["bundle", "--L", "3", "--lambda", "0.05", "--mu", "0.1"],
         ["simulate", "--seeds", "-1"],
