@@ -79,10 +79,7 @@ from .freight import (
     SimConfig,
     SimMetrics,
     SupplyModel,
-    bundle_price,
-    expiration_price,
     load_marginal_value,
-    log_price,
     perceived_quality,
     simulate,
 )

@@ -272,9 +272,8 @@ def column_generation(
 
     # the master's incidence matrix as SetPartitionMilp.base_lp() builds it:
     # one = row per item in item_ids order, then the bundle-count row; the
-    # singleton columns come first, then one per accepted bundle (n_gen = 0
-    # still accepts one, as the column count is checked after it)
-    master = np.zeros((m + 1, m + max(1, config.n_gen)))
+    # singleton columns come first, then one per accepted bundle
+    master = np.zeros((m + 1, m + config.n_gen))
     master[np.arange(m), np.arange(m)] = 1.0
     rels = [EQ] * m + [LE]
     rhs = np.append(np.ones(m), instance.max_bundles)
@@ -282,7 +281,7 @@ def column_generation(
     rewards = [0.0] * len(columns)
     warm = None
 
-    while True:
+    while len(columns) < m + config.n_gen:
         lp = LinearProgram(np.asarray(rewards), master[:, : len(columns)], rels, rhs)
         sol = simplex_solve(lp, warm_basis=warm)
         warm = sol.basis
@@ -324,8 +323,6 @@ def column_generation(
         columns.append(j_star)
         rewards.append(improvement)
         cand_mask[j_rel] = False
-        if len(columns) >= m + config.n_gen:
-            break
 
     milp = SetPartitionMilp(
         options=[pool[j] for j in columns],
@@ -462,25 +459,37 @@ def greedy_bundle(
     dsum = np.array([sum(delta[l] for l in o.items) for o in pool])
     keys = log_sum_exp((q + cust.price_sensitivity * dsum[None, :]).T, cust.arrival_pmf)
 
-    order = sorted(range(len(pool)), key=lambda j: (-keys[j], j))
-    chosen: list[BundleOption] = []
-    used: set[int] = set()
+    pos = {l: k for k, l in enumerate(item_ids)}
+    members = [tuple(pos[l] for l in o.items) for o in pool]
+    chosen = _greedy_sweep(keys, members, len(item_ids), instance.max_bundles)
+    return OptionSet(tuple(pool[k] for k in chosen))
+
+
+def _greedy_sweep(keys, members, n_items: int, max_bundles: Optional[int]) -> list[int]:
+    """The sweep of the greedy heuristics (greedy_bundle and the
+    simulator's rebuilds): indices of the options chosen, in sweep order.
+
+    Options are taken by descending key; equal keys go to the lower index
+    (a stable sort). An option is skipped when one of its members is
+    already covered, or when it is a bundle (more than one member) and
+    max_bundles bundles are chosen already (None: no cap). members[k] holds
+    option k's item positions in range(n_items); the sweep stops once every
+    item is covered.
+    """
+    cap = n_items if max_bundles is None else max_bundles
+    covered: set[int] = set()
     n_bundles = 0
-    remaining = set(item_ids)
-    for j in order:
-        o = pool[j]
-        if used.intersection(o.items):
+    chosen = []
+    for k in np.argsort(-keys, kind="stable").tolist():
+        option = members[k]
+        if not covered.isdisjoint(option) or (len(option) > 1 and n_bundles >= cap):
             continue
-        if o.cardinality > 1 and n_bundles >= instance.max_bundles:
-            continue
-        chosen.append(o)
-        used.update(o.items)
-        remaining.difference_update(o.items)
-        if o.cardinality > 1:
-            n_bundles += 1
-        if not remaining:
+        chosen.append(k)
+        covered.update(option)
+        n_bundles += len(option) > 1
+        if len(covered) == n_items:
             break
-    return OptionSet(tuple(chosen))
+    return chosen
 
 
 def min_empty_miles(

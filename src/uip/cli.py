@@ -38,7 +38,7 @@ from .model import (
     instance_from_json,
     singletons,
 )
-from .pricing import exact_dp
+from .pricing import bundling_condition, exact_dp
 
 def _spec_hash(args: dict) -> str:
     """Hash of the experiment-defining arguments (the output path and the
@@ -182,29 +182,31 @@ def cmd_bounds_table(args) -> int:
     return 0
 
 
-def intro_example_instance(demand: float, mu: float = 0.1, beta_p: float = -1.0) -> MarketInstance:
-    """Three items with one complementary and one high-quality bundle."""
-    quality_table = {
-        (0,): 1.0, (1,): 1.5, (2,): 2.5,
-        (0, 1): 3.0, (1, 0): 3.0,
-        (1, 2): 4.0, (2, 1): 4.0,
-    }
+def _table_instance(table: dict, n_items: int, demand: float, mu: float, beta_p: float,
+                    max_bundle_size: int) -> MarketInstance:
+    """Items 0..n_items-1 and one customer type whose quality of an option
+    is table[option.items]; at most one bundle."""
+    customer = CustomerModel(types=(0,), arrival_pmf=np.array([1.0]),
+                             price_sensitivity=beta_p,
+                             quality=lambda option, w: table[option.items])
+    return MarketInstance(items=tuple(Item(j) for j in range(n_items)), customer=customer,
+                          demand=demand, arrival_prob=mu, max_bundles=1,
+                          max_bundle_size=max_bundle_size)
 
-    def quality(option: BundleOption, w: int) -> float:
-        return quality_table[option.items]
 
-    customer = CustomerModel(
-        types=(0,), arrival_pmf=np.array([1.0]),
-        price_sensitivity=beta_p, quality=quality,
-    )
-    return MarketInstance(
-        items=(Item(0), Item(1), Item(2)), customer=customer,
-        demand=demand, arrival_prob=mu, max_bundles=1, max_bundle_size=2,
-    )
+# The introduction's example: three items with one complementary and one
+# high-quality bundle.
+_INTRO_QUALITY = {
+    (0,): 1.0, (1,): 1.5, (2,): 2.5,
+    (0, 1): 3.0, (1, 0): 3.0,
+    (1, 2): 4.0, (2, 1): 4.0,
+}
 
 
 def intro_example_values(demand: float) -> tuple[float, float, float]:
-    inst = intro_example_instance(demand)
+    """Exact values of S0, {(0, 1), (2,)} and {(0,), (1, 2)} on the
+    introduction's example."""
+    inst = _table_instance(_INTRO_QUALITY, 3, demand, mu=0.1, beta_p=-1.0, max_bundle_size=2)
     s0 = singletons(inst)
     s1 = OptionSet((BundleOption((0, 1)), BundleOption((2,))))
     s2 = OptionSet((BundleOption((0,)), BundleOption((1, 2))))
@@ -340,24 +342,13 @@ def cmd_condition_scatter(args) -> int:
         bundle_q = float(mult * qs[:n_bundle].sum())
         for perm in itertools.permutations(members):
             table[perm] = bundle_q
-
-        def quality(option, w):
-            return table[option.items]
-
-        customer = CustomerModel(types=(0,), arrival_pmf=np.array([1.0]),
-                                 price_sensitivity=-1.0, quality=quality)
-        inst = MarketInstance(items=tuple(Item(j) for j in range(5)),
-                              customer=customer, demand=lam, arrival_prob=args.mu,
-                              max_bundles=1, max_bundle_size=n_bundle)
+        inst = _table_instance(table, 5, lam, args.mu, -1.0, n_bundle)
         s = OptionSet((BundleOption(members),) + tuple(
             BundleOption((j,)) for j in range(n_bundle, 5)))
-        s0 = singletons(inst)
         v = exact_dp(inst, s).value()
-        v0 = exact_dp(inst, s0).value()
-        delta_kappa = bundle_q - float(qs[:n_bundle].sum())
-        threshold = (math.log(lam) - 1.0) * (n_bundle - 1)
-        return [lam, n_bundle, delta_kappa, threshold, v - v0,
-                int(delta_kappa >= threshold), int(v > v0)]
+        v0 = exact_dp(inst, singletons(inst)).value()
+        delta_kappa, threshold, satisfied = bundling_condition(inst, s)
+        return [lam, n_bundle, delta_kappa, threshold, v - v0, int(satisfied), int(v > v0)]
 
     rows = list(map(one, draws))
     header = ["lambda", "bundle_size", "delta_kappa", "threshold",

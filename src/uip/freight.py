@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import ConfigError, DomainError, MissingFreightData, config_errors
+from .bundling import _greedy_sweep, min_empty_miles
+from .errors import ConfigError, MissingFreightData, config_errors
 from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
-from .numerics import _lse_kernel, _lse_weights, lambert_w_exp, log_sum_exp
+from .numerics import _lse_kernel, _lse_weights, lambert_w_exp
 
 
 @dataclass(frozen=True)
@@ -214,46 +215,11 @@ def _closed_form_price(q: np.ndarray, delta: np.ndarray, beta_p: float, pmf) -> 
 
 
 def _log_trajectory(offset, kappa, log_togo, beta_p: float):
-    """Array form of log_price from the load's offset -(beta_p pbar + kappa)
-    and log_togo = ln(alpha * mu * (periods after this one))."""
+    """Prices on the logarithmic-in-demand-to-come trajectory of loads with
+    aggregated quality kappa, offset -(beta_p pbar + kappa) from their
+    expiration price pbar, and log_togo = ln(alpha * mu * (periods after
+    this one)). In the last period log_togo = -inf and the price is pbar."""
     return (-1.0 / beta_p) * (np.logaddexp(offset, log_togo) + kappa)
-
-
-def expiration_price(load: Item, coeffs: FreightCoeffs, regions: RegionModel) -> float:
-    """Price in the period preceding expiration: the expected optimal price
-    across regions if the load were the only option, at marginal value equal
-    to its salvage."""
-    q = quality_vector([load], coeffs, regions)
-    return float(_closed_form_price(q[None, :], np.array([load.salvage]), coeffs.beta_p,
-                                    regions.arrival_pmf)[0])
-
-
-def singleton_kappa(load: Item, coeffs: FreightCoeffs, regions: RegionModel) -> float:
-    q = quality_vector([load], coeffs, regions)
-    return log_sum_exp(q, regions.arrival_pmf)
-
-
-def log_price(
-    load: Item,
-    t: int,
-    pbar: float,
-    kappa: float,
-    alpha: float,
-    coeffs: FreightCoeffs,
-    mu: float,
-) -> float:
-    """Logarithmic-in-demand-to-come trajectory hitting pbar at the last
-    period. t counts periods since supply; the load expires after
-    t = expiration - 1."""
-    if load.freight is None:
-        raise MissingFreightData(f"load {load.id} has no freight data")
-    tbar = load.freight.expiration
-    if t < 0 or t > tbar - 1:
-        raise DomainError(f"t={t} outside [0, {tbar - 1}]")
-    offset = -(coeffs.beta_p * pbar + kappa)
-    with np.errstate(divide="ignore"):  # the last period: log 0 = -inf leaves the offset
-        log_togo = np.log(alpha * mu * (tbar - 1 - t))
-    return float(_log_trajectory(offset, kappa, log_togo, coeffs.beta_p))
 
 
 def load_marginal_value(price, kappa, beta_p: float):
@@ -261,25 +227,6 @@ def load_marginal_value(price, kappa, beta_p: float):
     optimum: Delta = p + (1/beta_p)(1 + E_X[e^{q + beta_p p}]). Accepts
     scalars or arrays."""
     return price + (1.0 + np.exp(beta_p * price + kappa)) / beta_p
-
-
-def bundle_price(
-    loads: Sequence[Item],
-    member_prices: Sequence[float],
-    member_marginals: Sequence[float],
-    mode: str,
-    coeffs: FreightCoeffs,
-    regions: RegionModel,
-) -> float:
-    """Bundle quote: linear (sum of member prices) or custom (closed-form
-    optimum at the bundle's quality and summed marginal value)."""
-    if mode == "linear":
-        return float(np.sum(member_prices))
-    if mode != "custom":
-        raise ConfigError(f"unknown bundle pricing mode {mode!r}")
-    qb = quality_vector(loads, coeffs, regions)
-    delta_b = np.array([np.sum(member_marginals)])
-    return float(_closed_form_price(qb[None, :], delta_b, coeffs.beta_p, regions.arrival_pmf)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +540,10 @@ def sample_choice(rng, utilities: np.ndarray, mode: str) -> int:
 
 def _greedy_pairs(loads: _Loads, uids, marginals, max_bundles, region=None):
     """Greedy partition of the active loads uids into singletons and ordered
-    pairs by expected acceptance weight at the estimated marginals. Ties go
-    to the singletons, then to the pairs in row-major order. Returns the
-    chosen options in sweep order as first and last positions in uids
-    (equal for a singleton) and their quality rows."""
+    pairs by expected acceptance weight at the estimated marginals, swept
+    by _greedy_sweep over the singletons, then the pairs in row-major
+    order. Returns the chosen options in sweep order as first and last
+    positions in uids (equal for a singleton) and their quality rows."""
     n = len(uids)
     ii, jj = np.nonzero(~np.eye(n, dtype=bool))
     first = np.concatenate([np.arange(n), ii])
@@ -609,30 +556,14 @@ def _greedy_pairs(loads: _Loads, uids, marginals, max_bundles, region=None):
         if region is None
         else q[:, region] + beta_p * dm
     )
-    members = list(zip(first.tolist(), last.tolist()))
-    used = [False] * n
-    covered = bundles = 0
-    chosen = []
-    cap = math.inf if max_bundles is None else max_bundles
-    for k in np.argsort(-keys, kind="stable").tolist():
-        i, j = members[k]
-        if used[i] or used[j] or (i != j and bundles >= cap):
-            continue
-        chosen.append(k)
-        used[i] = used[j] = True
-        covered += 1 if i == j else 2
-        bundles += i != j
-        if covered == n:
-            break
-    chosen = np.array(chosen, dtype=np.int64)
+    members = [(i,) for i in range(n)] + list(zip(ii.tolist(), jj.tolist()))
+    chosen = np.array(_greedy_sweep(keys, members, n, max_bundles), dtype=np.int64)
     return first[chosen], last[chosen], q[chosen]
 
 
 def _empty_mile_pairs(loads: _Loads, uids, max_bundles):
     """min_empty_miles pairing of the loads uids, as first and last
     positions in uids (equal for a singleton)."""
-    from .bundling import min_empty_miles
-
     items = [
         Item(
             id=k,

@@ -17,14 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, MissingDp, PartitionMismatch
+from .errors import CapExceeded, DomainError, MissingDp
 from .model import (
     BundleOption,
     ChoiceVector,
     MarketInstance,
     OptionSet,
     aggregated_quality,
-    singletons,
 )
 from .numerics import lambert_w_exp, log_sum_exp
 
@@ -295,27 +294,24 @@ def asymptotic_profile(instance: MarketInstance, option_set: OptionSet) -> Asymp
 
 
 def bundling_condition(
-    instance: MarketInstance,
-    option_set: OptionSet,
-    baseline: Optional[OptionSet] = None,
-    demand: Optional[float] = None,
+    instance: MarketInstance, option_set: OptionSet
 ) -> tuple[float, float, bool]:
-    """First-order test for a set to beat the no-bundle baseline.
+    """First-order test for a set to beat the all-singletons partition.
 
     Returns (delta_kappa, threshold, satisfied) with
     threshold = (ln lambda - 1) * sum_i (#i - 1): a set must gain at least
-    that much aggregated quality to pay for its reduced option count.
+    that much aggregated quality to pay for its reduced option count. The
+    gain is summed per option, delta_kappa = sum_b (kappa(b) - sum_{i in b}
+    kappa(i)), which is the set's total kappa less the singletons' because
+    the set is a partition, without subtracting two large sums.
     """
-    base = singletons(instance) if baseline is None else baseline
-    if sorted(o.items for o in base) != sorted((it.id,) for it in instance.items):
-        raise PartitionMismatch("baseline must be the all-singletons partition")
     option_set.validate(instance)
-    lam = instance.demand if demand is None else demand
     cust = instance.customer
-    kappa_set = sum(aggregated_quality(cust, o) for o in option_set)
-    kappa_base = sum(aggregated_quality(cust, o) for o in base)
-    delta_kappa = kappa_set - kappa_base
-    threshold = (math.log(lam) - 1.0) * sum(o.cardinality - 1 for o in option_set)
+    delta_kappa = sum(
+        aggregated_quality(cust, o) - sum(aggregated_quality(cust, i) for i in o.items)
+        for o in option_set
+    )
+    threshold = (math.log(instance.demand) - 1.0) * sum(o.cardinality - 1 for o in option_set)
     return delta_kappa, threshold, delta_kappa >= threshold
 
 

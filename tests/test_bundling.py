@@ -208,8 +208,9 @@ class TestColumnGenerationValues:
 
 
 def _greedy_case(name):
-    """Instances of the greedy pins: two retail scenarios, a beta_p > 0
-    instance, and three types of which the middle one has zero weight."""
+    """Instances of the greedy pins: two retail scenarios, one of them also
+    capped at one bundle, a beta_p > 0 instance, and three types of which
+    the middle one has zero weight."""
     if name == "zero-weight-type":
         table = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 4))
         cust = CustomerModel(types=(0, 1, 2), arrival_pmf=[0.25, 0.0, 0.75],
@@ -220,6 +221,8 @@ def _greedy_case(name):
                               max_bundles=2, max_bundle_size=2)
     if name == "B":
         return generate_synthetic(3, 6, "B", 2.0, demand=6.0, max_bundle_size=2, max_bundles=3)
+    if name == "B-one-bundle":  # the sweep skips bundles at the cap
+        return generate_synthetic(3, 6, "B", 2.0, demand=6.0, max_bundle_size=2, max_bundles=1)
     if name == "C":
         return generate_synthetic(1, 6, "C", 1.5, demand=4.0, max_bundle_size=3, max_bundles=2)
     return generate_synthetic(4, 5, "B", 2.0, demand=3.0, beta_p=0.8, max_bundle_size=2,
@@ -232,6 +235,7 @@ GREEDY_PINS = [
     ("B", "upper", [(1,), (5,), (4,), (3,), (2,), (0,)]),
     ("B", "fluid", [(1, 5), (2, 3), (0, 4)]),
     ("B", "static", [(1, 5), (2, 3), (0, 4)]),
+    ("B-one-bundle", "dfa", [(1, 5), (4,), (3,), (2,), (0,)]),
     ("C", "dfa", [(3, 5, 4), (0, 1, 2)]),
     ("C", "upper", [(3, 5, 4), (0,), (1,), (2,)]),
     ("C", "fluid", [(3, 5, 4), (0, 1, 2)]),

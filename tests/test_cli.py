@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -28,6 +29,17 @@ class TestDeterminism:
         b = run(tmp_path, "figure1", "--lambda-grid", "0.5:10:6:log")
         assert a == b
         assert a[0] == 0
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["condition-scatter", "--samples", "8"], "b9d2b611d4849593"),
+        (["figure1", "--lambda-grid", "0.5:50:5:log"], "ef5208c125b4e131"),
+    ], ids=" ".join)
+    def test_output_bytes_pinned(self, tmp_path, argv, digest):
+        # sha256 prefixes of the outputs before the table instances, and
+        # condition-scatter's delta-kappa, moved into shared code
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
     def test_simulate_byte_identical(self, tmp_path):
         import json as _json
@@ -81,6 +93,15 @@ class TestOutputs:
                          "--beta", "2", "--kb", "3", "--ks", "3", "--scenario", "C")
         assert code == 0
         assert [0, 2, 4] in json.loads(text)["options"]
+
+    def test_bundle_n_gen_zero_generates_no_column(self, tmp_path):
+        # this run once generated the bundle (0, 4)
+        code, text = run(tmp_path, "bundle", "--L", "6", "--lambda", "6", "--beta", "2",
+                         "--kb", "3", "--ks", "2", "--scenario", "B", "--n-gen", "0")
+        assert code == 0
+        doc = json.loads(text)
+        assert doc["trace"]["iterations"] == []
+        assert doc["options"] == [[j] for j in range(6)]
 
     def test_bundle_z_star_past_the_lp_size_cap(self, tmp_path):
         # the 7,240-option pool at L=20 is over the simplex's 5000-column cap;

@@ -6,31 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from uip.errors import ConfigError, DomainError, MissingFreightData
+from uip.errors import ConfigError, MissingFreightData
 from uip.freight import (
     FreightCoeffs,
     RegionModel,
     SimConfig,
     SimMetrics,
     SupplyModel,
-    bundle_price,
     demo_coeffs,
     demo_regions,
     demo_sim_config,
-    expiration_price,
     load_marginal_value,
-    log_price,
     perceived_quality,
     quality_vector,
     sample_choice,
     simulate,
-    singleton_kappa,
     splitmix64,
     truncated_geometric_pmf,
 )
-from uip.freight import _greedy_pairs, _Loads
+from uip.freight import _closed_form_price, _greedy_pairs, _log_trajectory, _Loads
 from uip.model import FreightItemData, Item
-from uip.numerics import lambert_w0, lambert_w_exp
+from uip.numerics import lambert_w0, lambert_w_exp, log_sum_exp
 
 
 def one_region():
@@ -47,6 +43,21 @@ def zeroish_coeffs(beta_p=-1.0, n=1, **kw):
 
 def centroid_load(expiration=10):
     return Item(0, freight=FreightItemData((0.0, 0.0), (0.0, 0.0), expiration))
+
+
+def price_alone(loads, delta, coeffs, regions):
+    """_closed_form_price of the option of loads (in order) alone, at
+    marginal value delta; at delta = salvage, a load's expiration price."""
+    q = quality_vector(loads, coeffs, regions)[None, :]
+    return float(_closed_form_price(q, np.array([delta]), coeffs.beta_p,
+                                    regions.arrival_pmf)[0])
+
+
+def log_prices(pbar, kappa, alpha, mu, beta_p, expiration=10):
+    """_log_trajectory in the periods t = 0 .. expiration - 1 after supply."""
+    with np.errstate(divide="ignore"):  # the last period: log 0 = -inf
+        log_togo = np.log(alpha * mu * (expiration - 1 - np.arange(expiration)))
+    return _log_trajectory(-(beta_p * pbar + kappa), kappa, log_togo, beta_p)
 
 
 def _options(first, last, q):
@@ -96,7 +107,7 @@ class TestPerceivedQuality:
 class TestExpirationPrice:
     def test_canonical_example(self):
         # xi=0, q=0, beta_p=-1 -> 1 + W(1/e), the closed-form singleton price
-        p = expiration_price(centroid_load(), zeroish_coeffs(), one_region())
+        p = price_alone([centroid_load()], 0.0, zeroish_coeffs(), one_region())
         assert p == pytest.approx(1.0 + lambert_w0(np.exp(-1.0)), abs=1e-12)
 
     def test_single_region_collapse(self):
@@ -104,7 +115,8 @@ class TestExpirationPrice:
         ld = centroid_load()
         q = quality_vector([ld], zeroish_coeffs(beta0=0.3), one_region())[0]
         gam = lambert_w_exp(q - 1.0)
-        assert expiration_price(ld, zeroish_coeffs(beta0=0.3), one_region()) == pytest.approx(1.0 + gam)
+        p = price_alone([ld], ld.salvage, zeroish_coeffs(beta0=0.3), one_region())
+        assert p == pytest.approx(1.0 + gam)
 
     def test_markup_sign(self):
         # canonical sign: pbar >= xi - 1/beta_p is exactly W >= 0
@@ -113,7 +125,7 @@ class TestExpirationPrice:
             ld = Item(0, salvage=float(rng.uniform(0, 2)),
                       freight=FreightItemData((0.0, 0.0), (0.0, 0.0), 10))
             c = zeroish_coeffs(beta0=float(rng.uniform(-2, 2)))
-            p = expiration_price(ld, c, one_region())
+            p = price_alone([ld], ld.salvage, c, one_region())
             assert p >= ld.salvage - 1.0 / c.beta_p - 1e-12
 
 
@@ -121,37 +133,30 @@ class TestLogPrice:
     def setup_method(self):
         self.ld = centroid_load(expiration=10)
         self.c = zeroish_coeffs()
-        self.pbar = expiration_price(self.ld, self.c, one_region())
-        self.kappa = singleton_kappa(self.ld, self.c, one_region())
+        self.pbar = price_alone([self.ld], self.ld.salvage, self.c, one_region())
+        self.kappa = log_sum_exp(quality_vector([self.ld], self.c, one_region()),
+                                 one_region().arrival_pmf)
 
     def test_terminal_value(self):
-        p = log_price(self.ld, 9, self.pbar, self.kappa, 1.0, self.c, mu=0.5)
+        p = log_prices(self.pbar, self.kappa, 1.0, 0.5, self.c.beta_p)[9]
         assert p == pytest.approx(self.pbar, abs=1e-12)
 
     def test_alpha_to_zero(self):
-        for t in range(10):
-            p = log_price(self.ld, t, self.pbar, self.kappa, 1e-14, self.c, mu=0.5)
+        for p in log_prices(self.pbar, self.kappa, 1e-14, 0.5, self.c.beta_p):
             assert p == pytest.approx(self.pbar, abs=1e-9)
 
     def test_monotone_toward_deadline(self):
         # canonical sign: price decreases as the deadline approaches
-        ps = [log_price(self.ld, t, self.pbar, self.kappa, 0.7, self.c, mu=0.5)
-              for t in range(10)]
+        ps = log_prices(self.pbar, self.kappa, 0.7, 0.5, self.c.beta_p)
         assert all(a >= b for a, b in zip(ps, ps[1:]))
         # freight sign: the payment rises toward the deadline
         cf = zeroish_coeffs(beta_p=0.01, beta0=-5.0)
         ldf = Item(0, salvage=500.0,
                    freight=FreightItemData((0.0, 0.0), (0.0, 0.0), 10))
-        pbar = expiration_price(ldf, cf, one_region())
-        kap = singleton_kappa(ldf, cf, one_region())
-        ps = [log_price(ldf, t, pbar, kap, 0.2, cf, mu=0.5) for t in range(10)]
+        pbar = price_alone([ldf], ldf.salvage, cf, one_region())
+        kap = log_sum_exp(quality_vector([ldf], cf, one_region()), one_region().arrival_pmf)
+        ps = log_prices(pbar, kap, 0.2, 0.5, cf.beta_p)
         assert all(a <= b for a, b in zip(ps, ps[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_price(self.ld, 10, self.pbar, self.kappa, 1.0, self.c, mu=0.5)
-        with pytest.raises(MissingFreightData):
-            log_price(Item(0), 0, 1.0, 0.0, 1.0, self.c, mu=0.5)
 
 
 class TestMarginalValue:
@@ -177,14 +182,6 @@ class TestMarginalValue:
 
 
 class TestBundlePrice:
-    def test_linear_is_sum(self):
-        regions = demo_regions()
-        c = demo_coeffs()
-        loads = [Item(0, freight=FreightItemData((0, 0), (50, 0), 10)),
-                 Item(1, freight=FreightItemData((60, 0), (90, 0), 10))]
-        p = bundle_price(loads, [100.0, 150.0], [0.0, 0.0], "linear", c, regions)
-        assert p == 250.0
-
     def test_singleton_custom_is_closed_form(self):
         regions = demo_regions()
         c = demo_coeffs()
@@ -193,23 +190,23 @@ class TestBundlePrice:
         q = quality_vector([ld], c, regions)
         gam = lambert_w_exp(q + c.beta_p * delta - 1.0)
         expect = delta - (1.0 + float(regions.arrival_pmf @ gam)) / c.beta_p
-        assert bundle_price([ld], [999.0], [delta], "custom", c, regions) == pytest.approx(expect)
+        assert price_alone([ld], delta, c, regions) == pytest.approx(expect)
 
     def test_custom_monotone_in_quality(self):
         # freight sign: lower bundle quality -> higher required payment
         regions = demo_regions()
         loads = [Item(0, freight=FreightItemData((0, 0), (50, 0), 10)),
                  Item(1, freight=FreightItemData((60, 0), (90, 0), 10))]
-        delta = [120.0, 100.0]
-        p_low = bundle_price(loads, [0, 0], delta, "custom", demo_coeffs(aversion=-3.0), regions)
-        p_high = bundle_price(loads, [0, 0], delta, "custom", demo_coeffs(aversion=-0.5), regions)
+        delta = 120.0 + 100.0
+        p_low = price_alone(loads, delta, demo_coeffs(aversion=-3.0), regions)
+        p_high = price_alone(loads, delta, demo_coeffs(aversion=-0.5), regions)
         assert p_low > p_high
         # canonical sign: higher quality -> higher markup
         c_lo = zeroish_coeffs(beta0=0.0)
         c_hi = zeroish_coeffs(beta0=1.0)
         ld = centroid_load()
-        assert (bundle_price([ld], [0], [1.0], "custom", c_hi, one_region())
-                > bundle_price([ld], [0], [1.0], "custom", c_lo, one_region()))
+        assert (price_alone([ld], 1.0, c_hi, one_region())
+                > price_alone([ld], 1.0, c_lo, one_region()))
 
 
 class TestSimulatorArrays:
@@ -231,9 +228,9 @@ class TestSimulatorArrays:
     def test_array_pricing_matches_scalar(self):
         ld = Item(0, salvage=300.0, freight=FreightItemData((0.0, 0.0), (100.0, 0.0), 10))
         c, regions = demo_coeffs(), demo_regions()
-        pbar = expiration_price(ld, c, regions)
-        kappa = singleton_kappa(ld, c, regions)
-        prices = np.array([log_price(ld, t, pbar, kappa, 0.3, c, mu=0.6) for t in range(10)])
+        pbar = price_alone([ld], ld.salvage, c, regions)
+        kappa = log_sum_exp(quality_vector([ld], c, regions), regions.arrival_pmf)
+        prices = log_prices(pbar, kappa, 0.3, 0.6, c.beta_p)
         marg = load_marginal_value(prices, kappa, c.beta_p)
         assert marg.shape == (10,)
         for p, m in zip(prices, marg):
@@ -413,12 +410,11 @@ class TestSimulate:
 
         ld = Item(0, salvage=1.4 * 2.0 * 100.0,
                   freight=FreightItemData((0.0, 0.0), (100.0, 0.0), life))
-        pbar = expiration_price(ld, coeffs, regions)
-        kappa = singleton_kappa(ld, coeffs, regions)
+        pbar = price_alone([ld], ld.salvage, coeffs, regions)
+        kappa = log_sum_exp(quality_vector([ld], coeffs, regions), regions.arrival_pmf)
         q = np.array([perceived_quality([ld], w, coeffs, regions) for w in range(2)])
         alive = 1.0
-        for t in range(life):
-            price = log_price(ld, t, pbar, kappa, alpha, coeffs, mu)
+        for price in log_prices(pbar, kappa, alpha, mu, coeffs.beta_p, expiration=life):
             e = np.exp(q + coeffs.beta_p * price)
             alive *= 1.0 - mu * float(regions.arrival_pmf @ (e / (1.0 + e)))
         se = math.sqrt(alive * (1 - alive) / resolved)

@@ -6,13 +6,14 @@ from scipy.optimize import minimize
 
 import uip.pricing
 from uip.bounds import singleton_upper_profiles
-from uip.errors import CapExceeded, DomainError, MissingDp, PartitionMismatch
+from uip.errors import CapExceeded, DomainError, MissingDp
 from uip.model import (
     BundleOption,
     CustomerModel,
     Item,
     MarketInstance,
     OptionSet,
+    aggregated_quality,
     enumerate_options,
     generate_synthetic,
     mnl_choice,
@@ -305,12 +306,22 @@ class TestBundlingCondition:
         assert thr == 0.0
         assert sat
 
-    def test_bad_baseline(self):
-        inst = generate_synthetic(2, 3, "A", 1.0, demand=5.0, max_bundle_size=2,
-                                  max_bundles=1)
-        with pytest.raises(PartitionMismatch):
-            bundling_condition(inst, singletons(inst),
-                               baseline=OptionSet(((0, 1), (2,))))
+    def test_delta_kappa_is_summed_per_bundle(self):
+        # kappa(bundle) - sum kappa(member), not the difference of the set's
+        # and the singletons' totals, which differs in the last bits here
+        qs = np.random.default_rng(1).uniform(0.0, 2.0, 5)
+        table = {(j,): float(qs[j]) for j in range(5)}
+        table[(0, 1)] = table[(1, 0)] = float(1.3 * (qs[0] + qs[1]))
+        cust = CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
+                             quality=lambda o, w: table[o.items])
+        inst = MarketInstance(items=tuple(Item(j) for j in range(5)), customer=cust,
+                              demand=4.0, arrival_prob=0.1, max_bundles=1,
+                              max_bundle_size=2)
+        s = OptionSet(((0, 1), (2,), (3,), (4,)))
+        dk, _, _ = bundling_condition(inst, s)
+        want = aggregated_quality(cust, (0, 1)) - (aggregated_quality(cust, 0)
+                                                   + aggregated_quality(cust, 1))
+        assert dk.hex() == want.hex()
 
 
 class TestCumulativeUtility:
