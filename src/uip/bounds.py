@@ -104,15 +104,16 @@ def _set_arrays(instance: MarketInstance, option_set: OptionSet):
     return q, xi, instance.customer.arrival_pmf, instance.customer.price_sensitivity
 
 
-def _exact_type_sums(pmf: np.ndarray) -> bool:
-    """Whether pmf @ x rounds every column of x alike wherever BLAS places
-    it: so it does for at most two types whose weights are powers of two
-    (or zero), since every product is then exact and a sum of two exact
-    terms rounds the same in either order, fused or not. Otherwise a
-    column's bits depend on its position (OpenBLAS 0.3.31's Haswell gemv
-    rounds columns in its 4-row body and in its tail differently)."""
-    mantissa, _ = np.frexp(pmf)
-    return pmf.size <= 2 and bool(np.all((mantissa == 0.5) | (pmf == 0.0)))
+def _type_sum(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_w weights[w] * x[w] over the leading (type) axis of x, added in
+    type order. Each entry of the result depends on its own column alone,
+    so a value is the same bits wherever its column sits and however many
+    columns there are; pmf @ x (BLAS gemv) and numpy's pairwise sum of a
+    single column over 8 or more types do not give that."""
+    total = weights[0] * x[0]
+    for w in range(1, weights.size):
+        total = total + weights[w] * x[w]
+    return total
 
 
 def _upper_profiles(instance: MarketInstance, q: np.ndarray, xi: np.ndarray):
@@ -120,44 +121,35 @@ def _upper_profiles(instance: MarketInstance, q: np.ndarray, xi: np.ndarray):
     and salvages xi (M,), with one recursion per distinct column.
 
     Columns of q with their salvage that are equal (np.unique over the rows
-    of [q; xi]) run one recursion, kept at the first occurrence and in pool
-    order, and r and tau are expanded back through the inverse index. Every
-    step is elementwise per column but the type-weighted sum pmf @ x, so the
-    expanded values equal the full-pool recursion bit for bit where that
-    sum is exact (_exact_type_sums: one or two types, weights powers of
-    two, as in every synthetic market); other pools, and pools without
-    repeated columns, run in full. lambert_w_exp picks its path by element
-    count, and its Newton path stops on the whole array, so a pool of more
-    than _W_SMALL_MAX elements can move by a few ulps: from Newton to
-    wrightomega where its distinct columns fit under that size.
+    of [q; xi]) run one recursion, and r and tau are expanded back through
+    the inverse index. Every step is elementwise per column, and the type
+    sum is _type_sum, so a column's values equal its recursion run alone,
+    bit for bit, wherever it sits in the pool. lambert_w_exp picks its path
+    by element count, and its Newton path stops on the whole array, so where
+    the distinct columns hold more than _W_SMALL_MAX elements a column's
+    values can differ by a few ulps from its run alone: they depend on
+    which distinct columns the pool holds, never on their order.
     """
     cust = instance.customer
     beta_p = cust.price_sensitivity
     pmf = cust.arrival_pmf
     mu = instance.arrival_prob
-    r, expand = xi, None
-    if _exact_type_sums(pmf):
-        _, first, inverse = np.unique(
-            np.vstack([q, xi]), axis=1, return_index=True, return_inverse=True
-        )
-        if first.size < xi.size:
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            expand = rank[inverse.reshape(-1)]
-            q, r = q[:, first[order]], xi[first[order]]
+    cols, inverse = np.unique(np.vstack([q, xi]), axis=1, return_inverse=True)
+    q, r = cols[:-1], cols[-1]
     tau = np.empty((instance.horizon, r.size))
     for t in range(1, instance.horizon + 1):
         gam = lambert_w_exp(q + beta_p * r[None, :] - 1.0)  # (types, columns)
         tau[t - 1] = r - (1.0 + gam.max(axis=0)) / beta_p
-        r = r + mu * (pmf @ (-gam / beta_p))
-    return (r, tau) if expand is None else (r[expand], tau[:, expand])
+        r = r + mu * _type_sum(pmf, -gam / beta_p)
+    inverse = inverse.reshape(-1)
+    return r[inverse], tau[:, inverse]
 
 
 def singleton_upper_profiles(instance: MarketInstance, options):
     """Individual upper bounds r_{t,i} and the homogenized trajectory tau^U
     for an arbitrary collection of options, all recursions in parallel and
-    one per distinct (quality column, salvage) pair (_upper_profiles).
+    one per distinct (quality column, salvage) pair (_upper_profiles); an
+    option's values do not depend on its position in the collection.
 
     Returns (r_final (M,), tau (T, M)). tau[t-1] is the extremal (over
     types) optimizer of the step that produced r_t from r_{t-1}, which is
@@ -221,29 +213,27 @@ def _dfa_forward(ev, tau, xi, mu_pmf):
     ev[t-1, k] = exp(q_k + beta_p tau[t-1, k]) is (T, K, W, N), tau is
     (T, K, N), xi is (K, N) and mu_pmf = mu * arrival pmf is (W,). Returns
     the K values and the (T+1, K, N) availabilities. Every step uses only
-    elementwise products and sums over one set's own rows, and the value is
-    added up once per step, so a set's value is bit-identical whether it is
-    evaluated alone or in any batch. It also sums trailing pad columns of
-    zero mass (ev = tau = xi = 0), which stay fully available: a set of at
-    least 2 options padded to N < 8 keeps its value and availabilities bit
-    for bit, since numpy adds a row shorter than its 8-element pairwise
-    block in index order and the pad's exact zeros come last. (A lone
-    option is not padded: over 8 or more types its type sum is one
-    contiguous pairwise reduction.) The inputs are made C-contiguous first:
-    the sums' rounding depends on the memory layout.
+    elementwise products, sums over one set's own options and _type_sum
+    over the types, and the value is added up once per step, so a set's
+    value is bit-identical whether it is evaluated alone or in any batch.
+    It also sums trailing pad columns of zero mass (ev = tau = xi = 0),
+    which stay fully available: a set padded to N < 8 keeps its value and
+    availabilities bit for bit, since numpy adds a row shorter than its
+    8-element pairwise block in index order and the pad's exact zeros come
+    last. The inputs are made C-contiguous first: the option sums' rounding
+    depends on the memory layout.
     """
     ev, tau, xi = (np.ascontiguousarray(x, dtype=float) for x in (ev, tau, xi))
     T, K, _, N = ev.shape
     avail = np.empty((T + 1, K, N))
     avail[T] = 1.0
     value = np.zeros(K)
-    weight = mu_pmf[:, None]
     for t in range(T, 0, -1):
         a = avail[t]
         e = ev[t - 1]
         base = 1.0 + (e * a[:, None, :]).sum(axis=-1)  # (K, W)
         rho = e / (base[:, :, None] + (1.0 - a)[:, None, :] * e)
-        sale = (weight * rho).sum(axis=-2)  # (K, N)
+        sale = _type_sum(mu_pmf, rho.transpose(1, 0, 2))  # (K, N)
         value += (a * sale * tau[t - 1]).sum(axis=-1)
         avail[t - 1] = a * (1.0 - sale)
     value += (avail[0] * xi).sum(axis=-1)

@@ -19,6 +19,7 @@ from .bounds import (
     _dfa_forward,
     _upper_profiles,
     _warn_uncertified,
+    backward_upper,
     dfa,
     fluid,
     monotone_columns,
@@ -53,7 +54,6 @@ from .pricing import canonical_sign
 class ColumnGenConfig:
     n_gen: int = 50
     n_eval: int = 10
-    include_baseline: bool = True
 
     def __post_init__(self):
         if self.n_gen < 0 or self.n_eval < 1:
@@ -98,13 +98,11 @@ class ColumnGenTrace:
 # Upper limit on the elements of one batch's exp(q + beta_p tau) array; a
 # larger batch is split, which leaves every value unchanged.
 _BATCH_ELEMS = 1 << 22
-# Set lengths that dfa_many pads into one recursion. numpy adds a row of
-# fewer than 8 elements one element after another (its pairwise sum works in
-# blocks of 8), so exact zeros appended to such a row change no bit of its
-# sum. One-option sets stay apart: unpadded, their sum over 8 or more
-# customer types is one contiguous pairwise reduction, whose bits padding
-# would change.
-_PAD_LENGTHS = range(2, 8)
+# Sets of fewer options than this share one padded recursion in dfa_many.
+# numpy adds a row of fewer than 8 elements one element after another (its
+# pairwise sum works in blocks of 8), so exact zeros appended to such a row
+# change no bit of its sum.
+_PAD_BELOW = 8
 
 
 class _SetEvaluator:
@@ -112,12 +110,14 @@ class _SetEvaluator:
 
     The pool's quality matrix and salvage vector are built once, and from
     them the per-option individual values r and trajectories tau^U, one
-    recursion per distinct (quality column, salvage) pair (_upper_profiles);
+    recursion per distinct (quality column, salvage) pair (_upper_profiles),
+    so an option's values are those of its column alone, wherever it sits;
     a set's trajectory is just the corresponding columns. Per-column
     monotonicity flags are also kept once; a set is certified iff all of its
     columns are. dfa_many gathers and exponentiates exp(q + beta_p tau) per
     batch, so no array of size T x W x M is built for the pool. A zero-mass
-    column, appended after the pool at index len(options), pads short sets.
+    column, appended after the pool at index len(options), pads every set of
+    fewer than _PAD_BELOW options.
     """
 
     def __init__(self, instance: MarketInstance, options: Sequence[BundleOption]):
@@ -163,17 +163,17 @@ class _SetEvaluator:
         availability=True also the list of each set's (T+1, N)
         availabilities, as dfa() returns them.
 
-        All sets of 2 to 7 options (_PAD_LENGTHS) share one forward
+        All sets of fewer than _PAD_BELOW options share one forward
         recursion: each is padded at the end, to the longest of them, with
-        the zero-mass pad column, whose terms in every row sum are exact
+        the zero-mass pad column, whose terms in every option sum are exact
         zeros added after the set's own (always certified, never returned).
-        Other sets share one recursion per length.
+        Longer sets share one recursion per length.
         """
         values = np.empty(len(sets))
         avails = [None] * len(sets)
         groups: dict[int, list[int]] = {}
         for k, idx in enumerate(sets):
-            groups.setdefault(-1 if len(idx) in _PAD_LENGTHS else len(idx), []).append(k)
+            groups.setdefault(len(idx) if len(idx) >= _PAD_BELOW else 0, []).append(k)
         T, W = self.tau.shape[0], self._q.shape[0]
         for ks in groups.values():
             n = max(len(sets[k]) for k in ks)
@@ -207,17 +207,15 @@ def _tied_with_best(values: np.ndarray) -> np.ndarray:
 
 
 def column_generation(
-    instance: MarketInstance,
-    config: ColumnGenConfig = ColumnGenConfig(),
-    option_cap: int = 200_000,
+    instance: MarketInstance, config: ColumnGenConfig = ColumnGenConfig()
 ) -> tuple[OptionSet, BoundResult, ColumnGenTrace]:
     """Column-generation bundle selection.
 
     Phase 1 computes every option's individual value and trajectory, one
-    recursion per distinct (quality column, salvage) pair of the pool where
-    that keeps every bit (_upper_profiles). The restricted master (LP
-    relaxation of the partition problem over the generated pool, singleton
-    rewards zero) supplies duals; candidates are priced by the perturbed
+    recursion per distinct (quality column, salvage) pair of the pool
+    (_upper_profiles). The restricted master (LP relaxation of the
+    partition problem over the generated pool, singleton rewards zero)
+    supplies duals; candidates are priced by the perturbed
     reduced cost, which substitutes the cheap individual upper bound for the
     DFA of the candidate's completed set. Accepted columns get their exact
     DFA improvement as master reward. The master's incidence matrix, one =
@@ -229,7 +227,7 @@ def column_generation(
     fewer bundles, then the lexicographically smallest encoding).
 
     DFA values are computed in batches, and a set's value does not depend on
-    its batch; sets of 2 to 7 options share one recursion (see
+    its batch; sets of fewer than 8 options share one recursion (see
     _SetEvaluator.dfa_many). When the best candidate has no exact
     improvement yet, the improvements of the candidates with positive score
     are computed together, best perturbed score first, as many as columns
@@ -238,7 +236,7 @@ def column_generation(
     the value computed first. The returned BoundResult carries the value
     and availabilities of that evaluation, the same bits dfa() gives.
     """
-    pool = enumerate_options(instance, cap=option_cap)
+    pool = enumerate_options(instance)
     ev = _SetEvaluator(instance, pool)
     item_ids = sorted(it.id for it in instance.items)
     trace = ColumnGenTrace(pool_size=len(pool))
@@ -272,8 +270,9 @@ def column_generation(
 
     # the master's incidence matrix as SetPartitionMilp.base_lp() builds it:
     # one = row per item in item_ids order, then the bundle-count row; the
-    # singleton columns come first, then one per accepted bundle
-    master = np.zeros((m + 1, m + config.n_gen))
+    # singleton columns come first, then one per accepted bundle, of which
+    # at most n_gen and at most one per candidate can enter
+    master = np.zeros((m + 1, m + min(config.n_gen, bundle_idx.size)))
     master[np.arange(m), np.arange(m)] = 1.0
     rels = [EQ] * m + [LE]
     rhs = np.append(np.ones(m), instance.max_bundles)
@@ -333,8 +332,7 @@ def column_generation(
     candidates: list[list[int]] = []
     for z, _ in enumerate_top_solutions(milp, config.n_eval):
         candidates.append([columns[k] for k in np.flatnonzero(z > 0.5)])
-    if config.include_baseline:
-        candidates.append(s0_indices)
+    candidates.append(s0_indices)
 
     distinct = {}  # canonical encoding -> indices, first occurrence kept
     for idx in candidates:
@@ -380,13 +378,11 @@ def _undominated(pool: Sequence[BundleOption], rewards: np.ndarray) -> list[int]
     return sorted(best.values())
 
 
-def best_upper_bound_partition(
-    instance: MarketInstance, option_cap: int = 200_000
-) -> tuple[OptionSet, float]:
+def best_upper_bound_partition(instance: MarketInstance) -> tuple[OptionSet, float]:
     """Partition maximizing the backward upper bound; its value Z* is the
     denominator of optimality gaps for any candidate set. Dominated columns
     (_undominated) are dropped before branch and bound."""
-    pool = enumerate_options(instance, cap=option_cap)
+    pool = enumerate_options(instance)
     r, _ = singleton_upper_profiles(instance, pool)
     sign = canonical_sign(instance.customer.price_sensitivity)
     rewards = sign * r
@@ -416,11 +412,7 @@ def optimality_gap(z_star: float, value: float, beta_p: float) -> float:
     return (s * z_star - s * value) / abs(z_star)
 
 
-def greedy_bundle(
-    instance: MarketInstance,
-    value_kind: str = "dfa",
-    option_cap: int = 200_000,
-) -> OptionSet:
+def greedy_bundle(instance: MarketInstance, value_kind: str = "dfa") -> OptionSet:
     """Greedy partition: rank options by expected acceptance weight at the
     estimated marginal values, then sweep.
 
@@ -429,19 +421,15 @@ def greedy_bundle(
     the sum of its members'. The ranking key E_X[e^{q_i + beta_p Delta_i}]
     is computed in log space.
     """
-    pool = enumerate_options(instance, cap=option_cap)
+    pool = enumerate_options(instance)
     cust = instance.customer
     item_ids = sorted(it.id for it in instance.items)
 
     def value_of(inst: MarketInstance, option_set: OptionSet) -> float:
         if value_kind == "dfa":
-            from .bounds import backward_upper
-
             up = backward_upper(inst, option_set)
             return dfa(inst, option_set, up.trajectory).value
         if value_kind == "upper":
-            from .bounds import backward_upper
-
             return backward_upper(inst, option_set).value
         if value_kind == "fluid":
             return fluid(inst, option_set).value

@@ -43,6 +43,10 @@ LE, EQ, GE = "<=", "=", ">="
 
 _PIVOT_TOL = 1e-10
 _BLAND_AFTER = 1000
+# pivots either simplex makes before NumericalFailure, and the distance from
+# the nearest integer below which bnb_solve takes an LP solution as integral
+_MAX_ITER = 50_000
+_INTEGRALITY_TOL = 1e-6
 
 
 @dataclass
@@ -103,13 +107,13 @@ def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int):
     basis[row] = col
 
 
-def _run_simplex(tab, basis, cost, allowed, max_iter=50_000):
+def _run_simplex(tab, basis, cost, allowed):
     """Maximize the cost row in place. Dantzig pricing, switching to Bland's
     rule after a long degenerate run. Returns 'optimal' or 'unbounded'."""
     m = tab.shape[0]
     degenerate = 0
     bland = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         red = cost[:-1]
         if bland:
             col = -1
@@ -147,7 +151,7 @@ def _run_simplex(tab, basis, cost, allowed, max_iter=50_000):
     raise NumericalFailure("simplex iteration limit reached")
 
 
-def _run_dual_simplex(tab, basis, cost, allowed, max_iter=50_000):
+def _run_dual_simplex(tab, basis, cost, allowed):
     """Restore primal feasibility of a dual-feasible tableau in place. The
     leaving row has the most negative rhs; the entering column wins the
     dual ratio test over allowed columns. Switches to Bland's rule after a
@@ -155,7 +159,7 @@ def _run_dual_simplex(tab, basis, cost, allowed, max_iter=50_000):
     rhs is negative while no allowed entry is)."""
     degenerate = 0
     bland = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         rhs = tab[:, -1]
         if bland:
             short = np.flatnonzero(rhs < -1e-9)
@@ -463,9 +467,7 @@ def _branch_lp(base: LinearProgram, fixings) -> LinearProgram:
     )
 
 
-def bnb_solve(
-    milp: SetPartitionMilp, integrality_tol: float = 1e-6
-) -> tuple[np.ndarray, float]:
+def bnb_solve(milp: SetPartitionMilp) -> tuple[np.ndarray, float]:
     """One optimal binary partition by best-first branch and bound (Z*,
     min_empty_miles); enumerate_top_solutions ranks the n best.
 
@@ -502,7 +504,7 @@ def bnb_solve(
         z = sol.primal
         frac = np.abs(z - np.round(z))
         j_star = int(np.argmax(frac))
-        if frac[j_star] <= integrality_tol:
+        if frac[j_star] <= _INTEGRALITY_TOL:
             zi = np.round(z)
             obj = float(milp.rewards @ zi)
             if obj > incumbent_obj + 1e-9:

@@ -118,15 +118,17 @@ def test_criterion_02_closed_form_pricing():
         spo = single_period_optimum(q, d, bp)
 
         def revenue(p):
-            e = np.exp(q + bp * np.asarray(p))
-            return float(np.sum(e / (1 + e.sum()) * (np.asarray(p) - d)))
+            # the last axis of p holds the options, a leading axis a grid
+            p = np.asarray(p)
+            e = np.exp(q + bp * p)
+            return np.sum(e / (1 + e.sum(axis=-1, keepdims=True)) * (p - d), axis=-1)
 
         # grid over the common markup (the optimum prices all items at
         # marginal value plus one shared markup)
         markups = np.arange(0.0, 12.0, 1e-3)
-        grid_best = max(revenue(d + m) for m in markups)
+        grid_best = revenue(d[None, :] + markups[:, None]).max()
         if n == 1:  # direct price grid as well
-            grid_best = max(grid_best, max(revenue([p]) for p in np.arange(0, 10, 1e-3)))
+            grid_best = max(grid_best, revenue(np.arange(0, 10, 1e-3)[:, None]).max())
         assert spo.revenue >= grid_best - 1e-4
 
         best_polish = -np.inf

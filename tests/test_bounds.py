@@ -104,6 +104,25 @@ class TestBackwardUpper:
                 r_j, tau_j = singleton_upper_profiles(inst, [option])
                 assert r_j.tobytes() == r[j : j + 1].tobytes()
                 assert tau_j.tobytes() == tau[:, j : j + 1].copy().tobytes()
+        # random pmfs over 3 to 9 types, whose type sums are inexact, with
+        # bit-equal columns at random positions
+        rng = np.random.default_rng(11)
+        for n_types in range(3, 10):
+            table = rng.uniform(-0.5, 1.5, size=(n_types, 5))
+            cust = CustomerModel(
+                types=tuple(range(n_types)), arrival_pmf=rng.dirichlet(np.ones(n_types)),
+                price_sensitivity=-float(rng.uniform(0.5, 2.0)),
+                quality=lambda o, w, table=table: 1.2 ** len(o.items) * sum(table[w, o.items]))
+            inst = MarketInstance(items=tuple(Item(i, salvage=0.1 * i) for i in range(5)),
+                                  customer=cust, demand=4.0, arrival_prob=0.1,
+                                  max_bundles=2, max_bundle_size=2)
+            options = enumerate_options(inst)
+            pool = [options[j] for j in rng.integers(len(options), size=2 * len(options))]
+            r, tau = singleton_upper_profiles(inst, pool)
+            for j, option in enumerate(pool):
+                r_j, tau_j = singleton_upper_profiles(inst, [option])
+                assert r_j.tobytes() == r[j : j + 1].tobytes()
+                assert tau_j.tobytes() == tau[:, j : j + 1].copy().tobytes()
 
 
 class TestBackwardLower:

@@ -91,6 +91,18 @@ class TestColumnGeneration:
         _, _, trace = column_generation(inst, ColumnGenConfig(n_gen=4, n_eval=2))
         json.loads(json.dumps(trace.to_json_dict()))
 
+    def test_huge_n_gen_equals_one_column_per_candidate(self):
+        # at most one column per bundle candidate can enter, so the master
+        # is sized by the candidates, not by an n_gen far beyond them
+        inst = generate_synthetic(0, 4, "B", 2.0, demand=4.0, max_bundle_size=2,
+                                  max_bundles=2)
+        n_bundles = sum(o.cardinality > 1 for o in enumerate_options(inst))
+        want_set, want_res, want = column_generation(inst, ColumnGenConfig(n_gen=n_bundles))
+        got_set, got_res, got = column_generation(inst, ColumnGenConfig(n_gen=10**12))
+        assert got_set.canonical() == want_set.canonical()
+        assert got_res.value == want_res.value
+        assert got.to_json_dict() == want.to_json_dict()
+
 
 class TestSetEvaluator:
     def test_batched_values_equal_values_alone(self, monkeypatch):
@@ -118,10 +130,10 @@ class TestSetEvaluator:
             with monkeypatch.context() as m:
                 m.setattr(uip.bundling, "_BATCH_ELEMS", 3 * inst.horizon * 2 * L)
                 assert np.array_equal(ev.dfa_many(sets), batch)
-        # one batch of set lengths 1 to 9 that holds S0: the sets of 2 to 7
-        # options share one padded recursion; over nine customer types a lone
-        # option's type sum is a pairwise reduction, which padding would
-        # change. The public dfa runs each set on the market of its items.
+        # one batch of set lengths 1 to 9 that holds S0: the sets of 1 to 7
+        # options share one padded recursion, a lone option over nine
+        # customer types included. The public dfa runs each set on the
+        # market of its items.
         table = rng.uniform(-0.5, 1.5, size=(9, 9))
         cust = CustomerModel(types=tuple(range(9)), arrival_pmf=np.full(9, 1 / 9),
                              price_sensitivity=-1.2,
@@ -143,6 +155,19 @@ class TestSetEvaluator:
             public = dfa(sub_instance(inst, opt_set.item_ids()), opt_set, ev.trajectory(idx))
             assert value.hex() == alone.hex() == (ev.sign * public.value).hex()
             assert avail.tobytes() == avail_alone.tobytes() == public.availability.tobytes()
+        # the sets of 1 to 7 options make one padded recursion
+        real_forward = uip.bundling._dfa_forward
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return real_forward(*args)
+
+        short = [idx for idx in sets if len(idx) < 8]
+        assert {len(idx) for idx in short} == set(range(1, 8))
+        monkeypatch.setattr(uip.bundling, "_dfa_forward", counted)
+        assert np.array_equal(ev.dfa_many(short), batch[[len(idx) < 8 for idx in sets]])
+        assert len(calls) == 1
 
     def test_non_monotone_column_warns(self, monkeypatch):
         # the singleton of item 0 gets a constant trajectory below its

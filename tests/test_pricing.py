@@ -37,11 +37,12 @@ OMEGA_INV = lambert_w0(np.exp(-1.0))  # W(1/e)
 
 
 def revenue(qualities, prices, beta_p, marginals):
-    """Direct expected-revenue evaluation for one type (oracle side)."""
+    """Direct expected-revenue evaluation for one type (oracle side); the
+    last axis of prices holds the options, any leading axes a grid."""
     v = qualities + beta_p * prices
     e = np.exp(v)
-    probs = e / (1.0 + e.sum())
-    return float(np.sum(probs * (prices - marginals)))
+    probs = e / (1.0 + e.sum(axis=-1, keepdims=True))
+    return np.sum(probs * (prices - marginals), axis=-1)
 
 
 def flat_customer(q=0.0, beta_p=-1.0):
@@ -76,10 +77,8 @@ class TestSinglePeriod:
         # closed form: Gamma = W(2/e); oracle: 2-D grid
         assert spo.gamma == pytest.approx(lambert_w0(2 * np.exp(-1.0)), abs=1e-12)
         g = np.arange(0.5, 3.0, 2e-3)
-        best = -np.inf
-        for p1 in g:
-            r = [revenue(np.zeros(2), np.array([p1, p2]), -1.0, np.zeros(2)) for p2 in g]
-            best = max(best, max(r))
+        grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)  # (p1, p2, options)
+        best = revenue(np.zeros(2), grid, -1.0, np.zeros(2)).max()
         assert spo.revenue >= best - 1e-5
         assert spo.prices[0] == pytest.approx(spo.prices[1])
 
