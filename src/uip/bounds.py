@@ -13,7 +13,12 @@ Bounds around the exact value V*:
                           evaluated through its Lagrangian dual, so the
                           reported value is a certified bound by itself.
 * static                — stationary-policy restriction (lower), maximized
-                          by L-BFGS-B over unconstrained MNL logits.
+                          by BFGS over unconstrained MNL logits.
+
+Both smooth solves are written here, on numpy alone: projected Newton with
+an active set for the fluid dual (nu >= 0) and dense BFGS with a
+backtracking line search for the static logits. Neither loads
+scipy.optimize.
 
 Values are reported in the instance's own sign convention (see pricing);
 orientation-sensitive steps (monotonicity checks, the fluid/static
@@ -34,12 +39,29 @@ from .model import MarketInstance, OptionSet
 from .numerics import lambert_w_exp
 from .pricing import _closed_form_choice, canonical_sign
 
-# L-BFGS-B tolerances of the fluid dual and the static bound, the relative
-# duality gap at which the fluid solve counts as converged, and the relative
-# logit-gradient size at which the static solve does (max(1, |f|) scale)
-_LBFGSB_OPTIONS = {"ftol": 1e-15, "gtol": 1e-10}
+# The relative duality gap at which the fluid solve counts as converged, and
+# the relative logit-gradient size at which the static solve does
+# (max(1, |f|) scale)
 _FLUID_GAP_TOL = 1e-6
 _STATIC_GRAD_TOL = 1e-7
+# Solver stops. The fluid Newton iteration ends when the largest entry of the
+# projected dual gradient is at most _FLUID_PG_TOL, the static BFGS iteration
+# when the largest entry of the logit gradient is at most _STATIC_GTOL. Either
+# also ends at its iteration cap; after a step that changed its objective by
+# at most _FTOL relative (L-BFGS-B's ftol rule); after a unit step whose
+# first-order change is at most that much, which is taken without a test
+# because rounding hides so small a change; and when no step passes the
+# Armijo test (gain >= _ARMIJO times the first-order gain) within
+# _MAX_HALVINGS halvings. A static trial step moves no logit by more than
+# _STATIC_MAX_STEP.
+_FLUID_PG_TOL = 1e-13
+_FLUID_MAX_ITER = 50
+_STATIC_GTOL = 1e-10
+_STATIC_MAX_ITER = 1000
+_STATIC_MAX_STEP = 4.0
+_FTOL = 1e-15
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -289,7 +311,8 @@ def _fluid_objective(rho, q, pmf, beta_c, xi_c, mu_t):
 
 
 def _fluid_dual(nu, q, pmf, beta_c, xi_c, mu_t):
-    """Dual function g(nu), its gradient, and the inner maximizer rho*(nu).
+    """Dual function g(nu), its gradient, the inner maximizer rho*(nu) and
+    the per-type Gamma.
 
     For every type the inner problem is the single-arrival closed form at
     marginal cost xi + nu: revenue -Gamma/beta, choice Gamma/(1+Gamma)
@@ -297,7 +320,62 @@ def _fluid_dual(nu, q, pmf, beta_c, xi_c, mu_t):
     """
     gam, rho = _closed_form_choice(q + beta_c * (xi_c + nu)[None, :])
     g = xi_c.sum() + nu.sum() + mu_t * float(pmf @ (-gam / beta_c))
-    return g, 1.0 - mu_t * (pmf @ rho), rho
+    return g, 1.0 - mu_t * (pmf @ rho), rho, gam
+
+
+def _fluid_hessian(rho, gam, pmf, beta_c, mu_t):
+    """Hessian of g at the point where _fluid_dual gave rho and gam:
+    mu_t |beta| sum_w pmf_w (diag(rho_w) - (2+Gamma_w)/(1+Gamma_w) rho_w rho_w^T).
+    It is positive definite, since sum_i rho_wi = Gamma_w/(1+Gamma_w) and
+    Gamma(2+Gamma)/(1+Gamma)^2 < 1."""
+    c = pmf * (2.0 + gam) / (1.0 + gam)
+    return mu_t * abs(beta_c) * (np.diag(pmf @ rho) - (c[:, None] * rho).T @ rho)
+
+
+def _fluid_newton(args):
+    """Minimize g over nu >= 0 by projected Newton with an active set
+    (Bertsekas, SIAM J. Control Optim. 20, 1982), from nu = 0.
+
+    Coordinates at (or within the projected-gradient size of) zero whose
+    gradient is positive are active: they take a gradient step, the free
+    ones a Newton step on their block of the Hessian, and the step is
+    halved along the projection arc until it passes the Armijo test. Stops
+    by the rules stated with the solver constants. Returns (g, rho, Newton
+    steps taken) at the last iterate.
+    """
+    q, pmf, beta_c, _, mu_t = args
+    n = q.shape[1]
+    nu = np.zeros(n)
+    g, grad, rho, gam = _fluid_dual(nu, *args)
+    steps = 0
+    while steps < _FLUID_MAX_ITER:
+        pg = nu - np.maximum(nu - grad, 0.0)
+        size = float(np.max(np.abs(pg)))
+        if size <= _FLUID_PG_TOL:
+            break
+        hess = _fluid_hessian(rho, gam, pmf, beta_c, mu_t)
+        active = (nu <= size) & (grad > 0.0)
+        free = ~active
+        d = np.zeros(n)
+        d[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+        d[active] = -grad[active]
+        newton_decrease = -(grad[free] @ d[free])
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.maximum(nu + alpha * d, 0.0)
+            g_t, grad_t, rho_t, gam_t = _fluid_dual(trial, *args)
+            want = alpha * newton_decrease + grad[active] @ (nu - trial)[active]
+            if g - g_t >= _ARMIJO * want or (alpha == 1.0 and want <= _FTOL * max(abs(g), 1.0)):
+                break
+            alpha *= 0.5
+        else:
+            break
+        steps += 1
+        stalled = g - g_t <= _FTOL * max(abs(g), abs(g_t), 1.0)
+        nu, g, grad, rho, gam = trial, g_t, grad_t, rho_t, gam_t
+        if stalled:
+            break
+    return g, rho, steps
 
 
 def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
@@ -306,12 +384,14 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     The primal maximizes the expected fluid revenue over per-type choice
     probabilities rho subject to E_X[rho_i] <= 1/(mu T) for every option.
     Dualizing those N rows with multipliers nu >= 0 leaves one closed-form
-    single-arrival problem per type; the smooth convex dual g(nu) is
-    minimized by L-BFGS-B. By weak duality g(nu) bounds the fluid optimum,
-    and hence the exact value, for every nu >= 0, so value is certified on
-    its own even if the solver stops early. certificate is the duality gap
+    single-arrival problem per type; the smooth, strictly convex dual g(nu)
+    is minimized by projected Newton on its closed-form Hessian
+    (_fluid_newton). By weak duality g(nu) bounds the fluid optimum, and
+    hence the exact value, for every nu >= 0, so value is certified on its
+    own even if the solver stops early. certificate is the duality gap
     against rho*(nu) with each option's column scaled down to feasibility
-    (returned as extra["rho"]).
+    (returned as extra["rho"]); extra also holds the Newton steps taken as
+    iterations and converged, certificate <= _FLUID_GAP_TOL * max(1, |g|).
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     mu_t = instance.arrival_prob * instance.horizon
@@ -320,22 +400,11 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     n = q.shape[1]
     if n == 0:
         return BoundResult(kind="fluid", value=0.0, certificate=0.0,
-                           extra={"converged": True, "rho": np.zeros_like(q)})
-    # imported here, not at module level: scipy.optimize takes about a
-    # quarter of a second to load, and only fluid and static use it
-    from scipy.optimize import minimize
-
+                           extra={"converged": True, "rho": np.zeros_like(q),
+                                  "iterations": 0})
     sign = canonical_sign(beta_p)
     args = (q, pmf, -abs(beta_p), sign * xi, mu_t)
-    res = minimize(
-        lambda nu: _fluid_dual(nu, *args)[:2],
-        np.zeros(n),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, None)] * n,
-        options=_LBFGSB_OPTIONS,
-    )
-    g, _, rho = _fluid_dual(np.maximum(res.x, 0.0), *args)
+    g, rho, steps = _fluid_newton(args)
     rho = rho / np.maximum(1.0, mu_t * (pmf @ rho))[None, :]
     gap = max(g - _fluid_objective(rho, *args), 0.0)
     return BoundResult(
@@ -343,12 +412,13 @@ def fluid(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
         value=float(sign * g),
         certificate=float(gap),
         certified=True,
-        extra={"converged": gap <= _FLUID_GAP_TOL * max(1.0, abs(g)), "rho": rho},
+        extra={"converged": bool(gap <= _FLUID_GAP_TOL * max(1.0, abs(g))), "rho": rho,
+               "iterations": steps},
     )
 
 
 # ---------------------------------------------------------------------------
-# static approximation (L-BFGS-B over MNL logits)
+# static approximation (BFGS over MNL logits)
 # ---------------------------------------------------------------------------
 
 
@@ -385,21 +455,79 @@ def _static_objective_grad(z, q, pmf, beta_t, xi_t, mu, T):
     return f, rho * (g - np.sum(g * rho, axis=1)[:, None]), rho
 
 
+def _static_bfgs(z0, args):
+    """Maximize the static objective over the logits from z0 by dense BFGS
+    (Nocedal & Wright, Numerical Optimization, 2006, Alg. 6.1) on the
+    flattened logits, with a backtracking Armijo line search from the unit
+    step, shortened so that no logit moves by more than _STATIC_MAX_STEP:
+    longer steps carried logits onto the flat tail where a choice
+    probability underflows, and there the search can stall or settle on a
+    worse stationary point. The gradient of type w's logits carries the
+    factor pmf_w, so the inverse-Hessian estimate starts as D = diag(1/pmf_w)
+    (0 for a zero-weight type, whose logits do not enter f), is rescaled by
+    s'y/y'Dy at its first update, skips an update whose curvature s'y is not
+    positive and is reset to D when its direction is not an ascent. Stops
+    by the rules stated with the solver constants. Returns (f, flattened
+    logit gradient, rho, iterations) at the last iterate.
+    """
+    shape = z0.shape
+    weights = np.repeat(args[1], shape[1])  # pmf_w for each logit
+    start = np.diag(np.divide(1.0, weights, out=np.zeros_like(weights), where=weights > 0.0))
+
+    def evaluate(x):
+        f, grad, rho = _static_objective_grad(x.reshape(shape), *args)
+        return f, grad.ravel(), rho
+
+    x = z0.ravel()
+    f, grad, rho = evaluate(x)
+    inv_h = start
+    it = 0
+    while it < _STATIC_MAX_ITER and np.max(np.abs(grad)) > _STATIC_GTOL:
+        d = inv_h @ grad
+        slope = grad @ d
+        if not slope > 0.0:
+            inv_h = start
+            d = inv_h @ grad
+            slope = grad @ d
+        alpha = min(1.0, _STATIC_MAX_STEP / np.max(np.abs(d)))
+        for _ in range(_MAX_HALVINGS):
+            x_t = x + alpha * d
+            f_t, grad_t, rho_t = evaluate(x_t)
+            want = alpha * slope
+            if f_t - f >= _ARMIJO * want or (alpha == 1.0 and want <= _FTOL * max(abs(f), 1.0)):
+                break
+            alpha *= 0.5
+        else:
+            break
+        it += 1
+        stalled = f_t - f <= _FTOL * max(abs(f), abs(f_t), 1.0)
+        s, y = x_t - x, grad - grad_t  # step and change of the gradient of -f
+        x, f, grad, rho = x_t, f_t, grad_t, rho_t
+        if stalled:
+            break
+        sy = s @ y
+        if sy > 0.0:
+            if inv_h is start:
+                inv_h = (sy / (y @ start @ y)) * start
+            hy = inv_h @ y
+            inv_h = (inv_h + ((sy + y @ hy) / sy**2) * np.outer(s, s)
+                     - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+    return f, grad, rho, it
+
+
 def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     """Stationary-policy value: time-invariant choice probabilities.
 
     Each type's choice probabilities are an MNL of free logits, which maps
     R^{types x N} onto the interior of the feasible set, so the search is
-    one unconstrained L-BFGS-B run. It starts from the closed-form
-    single-arrival choice at marginal cost xi (the fluid dual's rho*(0)).
-    Every logit point is feasible, and its objective never exceeds the
-    static optimum, which lower-bounds the exact value; so value is a
+    one unconstrained BFGS run (_static_bfgs). It starts from the
+    closed-form single-arrival choice at marginal cost xi (the fluid dual's
+    rho*(0)). Every logit point is feasible, and its objective never exceeds
+    the static optimum, which lower-bounds the exact value; so value is a
     certified lower bound however the solver stops. extra holds the final
-    rho, L-BFGS-B's iteration count, the largest absolute entry of the final
+    rho, the BFGS iteration count, the largest absolute entry of the final
     logit gradient as grad_norm, and converged, a stationarity test:
-    grad_norm <= _STATIC_GRAD_TOL * max(1, |f|). L-BFGS-B's own success
-    flag is not used, since its line search can end abnormally at a point
-    that is already stationary.
+    grad_norm <= _STATIC_GRAD_TOL * max(1, |f|).
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     if instance.horizon < 1:
@@ -407,26 +535,12 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
     if q.shape[1] == 0:
         extra = {"rho": np.zeros_like(q), "converged": True, "iterations": 0, "grad_norm": 0.0}
         return BoundResult(kind="static", value=0.0, extra=extra)
-    from scipy.optimize import minimize  # loaded on first use, as in fluid
-
     sign = canonical_sign(beta_p)
     beta_c, xi_c = -abs(beta_p), sign * xi
     args = (q, pmf, beta_c, xi_c, instance.arrival_prob, instance.horizon)
     score = q + beta_c * xi_c[None, :]
     gam, _ = _closed_form_choice(score)
-
-    def neg_objective(z):
-        f, grad, _ = _static_objective_grad(z.reshape(q.shape), *args)
-        return -f, -grad.ravel()
-
-    res = minimize(
-        neg_objective,
-        (score - 1.0 - gam[:, None]).ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        options=_LBFGSB_OPTIONS,
-    )
-    f, grad, rho = _static_objective_grad(res.x.reshape(q.shape), *args)
+    f, grad, rho, iterations = _static_bfgs(score - 1.0 - gam[:, None], args)
     grad_norm = float(np.max(np.abs(grad)))
     return BoundResult(
         kind="static",
@@ -435,7 +549,7 @@ def static(instance: MarketInstance, option_set: OptionSet) -> BoundResult:
         extra={
             "rho": rho,
             "converged": bool(grad_norm <= _STATIC_GRAD_TOL * max(1.0, abs(f))),
-            "iterations": int(res.nit),
+            "iterations": iterations,
             "grad_norm": grad_norm,
         },
     )

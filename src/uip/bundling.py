@@ -489,7 +489,10 @@ def min_empty_miles(
     Pairing load l behind load k replaces k's trailing deadhead with the
     dropoff(k) -> pickup(l) distance; the equivalent set-partitioning
     problem maximizes those savings (ties resolve to no pairing) with at
-    most max_bundles pairs (None: no cap).
+    most max_bundles pairs (None: no cap). A pair whose saving is not
+    positive is never offered: two singletons are worth as much and use no
+    bundle, so the optimum value is unchanged and the LP holds only the
+    pairs that can help.
     """
     for it in loads:
         if it.freight is None:
@@ -508,11 +511,12 @@ def min_empty_miles(
             if k == l:
                 continue
             fk, fl = by_id[k].freight, by_id[l].freight
-            gap = float(np.hypot(
+            saving = ehat_dst[pos[k]] - float(np.hypot(
                 fl.pickup[0] - fk.dropoff[0], fl.pickup[1] - fk.dropoff[1]
             ))
-            options.append(BundleOption((k, l)))
-            rewards.append(ehat_dst[pos[k]] - gap)
+            if saving > 0.0:
+                options.append(BundleOption((k, l)))
+                rewards.append(saving)
     milp = SetPartitionMilp(
         options=options,
         rewards=np.asarray(rewards),

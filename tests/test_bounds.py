@@ -4,7 +4,11 @@ import pytest
 import uip.bounds
 
 from uip.bounds import (
+    _FLUID_MAX_ITER,
+    _STATIC_MAX_ITER,
     PriceTrajectory,
+    _fluid_dual,
+    _fluid_objective,
     _static_objective_grad,
     backward_lower,
     backward_upper,
@@ -29,7 +33,7 @@ from uip.model import (
     sub_instance,
 )
 from uip.numerics import lambert_w0
-from uip.pricing import canonical_sign, exact_dp
+from uip.pricing import _closed_form_choice, canonical_sign, exact_dp
 
 
 def single_item_instance(q=0.0, beta_p=-1.0, salvage=0.0, demand=1.0, mu=1.0):
@@ -287,6 +291,17 @@ class TestFluid:
             diffs.append(res.value - v)
         assert diffs[-1] > 0.5  # ~ -|S|/beta_p = 1 in the limit
 
+    def test_stopped_early_is_not_converged(self, monkeypatch):
+        # one Newton step leaves a duality gap of about 0.46; g(nu) is still
+        # an upper bound, by weak duality
+        monkeypatch.setattr(uip.bounds, "_FLUID_MAX_ITER", 1)
+        inst = random_instance(2, lam=20.0)
+        res = fluid(inst, singletons(inst))
+        assert res.extra["iterations"] == 1
+        assert res.extra["converged"] is False
+        assert res.certificate > 1e-6 * res.value
+        assert res.value >= exact_dp(inst, singletons(inst)).value() - 1e-9
+
 
 class TestStatic:
     def test_t1_equals_exact(self):
@@ -390,19 +405,106 @@ class TestStatic:
         ],
     )
     def test_stationary_point_counts_as_converged(self, args):
-        # L-BFGS-B ends these with an abnormal line search at grad_norm
-        # 1.0e-8 and 3.7e-9; converged is a stationarity test, not its flag
+        # converged is a stationarity test on the final logit gradient, not
+        # a solver's own success flag: L-BFGS-B ended these two with an
+        # abnormal line search at grad_norm 1.0e-8 and 3.7e-9
         inst = generate_synthetic(*args[:4], **args[4])
         res = static(inst, singletons(inst))
         assert res.extra["grad_norm"] < 1e-7
         assert res.extra["converged"] is True
 
     def test_stopped_early_is_not_converged(self, monkeypatch):
-        monkeypatch.setattr(uip.bounds, "_LBFGSB_OPTIONS", {"maxiter": 1})
+        monkeypatch.setattr(uip.bounds, "_STATIC_MAX_ITER", 1)
         inst = random_instance(2, lam=20.0)
         res = static(inst, singletons(inst))
         assert res.extra["converged"] is False
         assert res.value <= exact_dp(inst, singletons(inst)).value() + 1e-9
+
+
+def _lbfgsb_oracle(inst, option_set):
+    """The fluid value and certificate and the static value, with the fluid
+    dual and the static logits solved by scipy's L-BFGS-B (ftol 1e-15,
+    gtol 1e-10) from the starting points bounds.py uses."""
+    from scipy.optimize import minimize
+
+    cust = inst.customer
+    q = cust.quality_matrix(option_set.options)
+    xi = inst.salvage_vector(option_set.options)
+    pmf, beta_p = cust.arrival_pmf, cust.price_sensitivity
+    s = canonical_sign(beta_p)
+    beta_c, xi_c = -abs(beta_p), s * xi
+    options = {"ftol": 1e-15, "gtol": 1e-10}
+    mu_t = inst.arrival_prob * inst.horizon
+    args = (q, pmf, beta_c, xi_c, mu_t)
+    res = minimize(lambda nu: _fluid_dual(nu, *args)[:2], np.zeros(q.shape[1]), jac=True,
+                   method="L-BFGS-B", bounds=[(0.0, None)] * q.shape[1], options=options)
+    g, _, rho, _ = _fluid_dual(np.maximum(res.x, 0.0), *args)
+    rho = rho / np.maximum(1.0, mu_t * (pmf @ rho))[None, :]
+    gap = max(g - _fluid_objective(rho, *args), 0.0)
+    args = (q, pmf, beta_c, xi_c, inst.arrival_prob, inst.horizon)
+    score = q + beta_c * xi_c[None, :]
+    gam, _ = _closed_form_choice(score)
+
+    def neg_objective(z):
+        f, grad, _ = _static_objective_grad(z.reshape(q.shape), *args)
+        return -f, -grad.ravel()
+
+    res = minimize(neg_objective, (score - 1.0 - gam[:, None]).ravel(), jac=True,
+                   method="L-BFGS-B", options=options)
+    return s * g, gap, -s * res.fun
+
+
+def _random_market(k):
+    """Draw k: 2-9 types, the sign of beta_p alternating, a zero-weight type
+    on every third draw, mu*T = 0.3 on every fifth (every capacity row
+    slack at nu = 0), and a random partition of 2-12 items into options of
+    1-3 items."""
+    rng = np.random.default_rng(500 + k)
+    n_types = 2 + k % 8
+    pmf = rng.dirichlet(np.ones(n_types))
+    if k % 3 == 0:
+        pmf[0] = 0.0
+        pmf /= pmf.sum()
+    n_items = int(rng.integers(2, 13))
+    table = rng.uniform(-0.5, 1.5, size=(n_types, n_items))
+    cust = CustomerModel(
+        types=tuple(range(n_types)), arrival_pmf=pmf,
+        price_sensitivity=(-1.0) ** k * float(rng.uniform(0.5, 2.0)),
+        quality=lambda o, w: 1.2 ** len(o.items) * sum(table[w, o.items]))
+    inst = MarketInstance(
+        items=tuple(Item(i, salvage=float(rng.uniform(0.0, 0.5))) for i in range(n_items)),
+        customer=cust, demand=0.3 if k % 5 == 0 else float(rng.uniform(1.0, 30.0)),
+        arrival_prob=0.1, max_bundles=n_items, max_bundle_size=3)
+    order = [int(i) for i in rng.permutation(n_items)]
+    groups = []
+    while order:
+        size = int(rng.integers(1, 4))
+        groups.append(tuple(order[:size]))
+        order = order[size:]
+    return inst, OptionSet(groups)
+
+
+class TestSolversAgainstLbfgsb:
+    def test_values_match_lbfgsb(self):
+        for k in range(40):
+            inst, option_set = _random_market(k)
+            fl, st = fluid(inst, option_set), static(inst, option_set)
+            want_fluid, oracle_gap, want_static = _lbfgsb_oracle(inst, option_set)
+            assert abs(fl.value - want_fluid) <= 1e-12 * abs(want_fluid), k
+            assert abs(st.value - want_static) <= 1e-12 * abs(want_static), k
+            assert fl.certificate <= max(oracle_gap, 1e-9), k
+            assert fl.extra["converged"] and st.extra["converged"], k
+            assert fl.extra["iterations"] < _FLUID_MAX_ITER, k
+            assert st.extra["iterations"] < _STATIC_MAX_ITER, k
+            if k % 5 == 0:
+                # every capacity row is slack at nu = 0: no Newton step
+                assert fl.extra["iterations"] == 0, k
+
+    def test_iterations_reported_below_caps(self):
+        inst = random_instance(2, lam=20.0)
+        for bound, cap in ((fluid, _FLUID_MAX_ITER), (static, _STATIC_MAX_ITER)):
+            iterations = bound(inst, singletons(inst)).extra["iterations"]
+            assert isinstance(iterations, int) and 0 <= iterations < cap
 
 
 class TestSandwich:

@@ -447,9 +447,22 @@ class TestMinEmptyMiles:
         assert len(chosen) == 65 and chosen.bundle_count == 0
 
     def test_simplex_size_cap(self):
-        # 71 loads make 5,041 columns, past the simplex's 5,000-column cap
+        # 71 loads whose every pair saves miles (no gap on the 100 x 100
+        # square reaches 1000) make 5,041 columns, past the simplex's
+        # 5,000-column cap
         with pytest.raises(CapExceeded):
-            min_empty_miles(self.make_loads(4, 71), [10.0] * 71)
+            min_empty_miles(self.make_loads(4, 71), [1000.0] * 71)
+
+    def test_pairs_without_saving_are_not_columns(self):
+        # 71 loads with a deadhead of 10 offer only the pairs whose gap is
+        # below 10; with all 4,970 pairs offered this raised CapExceeded
+        loads, ehat = self.make_loads(4, 71), [10.0] * 71
+        chosen = min_empty_miles(loads, ehat)
+        assert chosen.bundle_count > 0
+        for option in chosen:
+            if option.cardinality > 1:
+                # the pair's empty miles beat its two loads' deadheads
+                assert self.em_objective(loads, [option], ehat) < 20.0
 
 
 def test_bundled_fraction_shrinks_with_horizon():

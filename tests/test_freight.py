@@ -345,6 +345,15 @@ class TestSimulate:
         m = simulate(cfg, demo_coeffs(), demo_regions())
         assert np.isfinite(m.cost_per_loaded_mile)
 
+    def test_min_empty_miles_past_70_open_loads(self):
+        # one rebuild over 93 open loads: offering all n(n-1) pairs made an
+        # LP of 8,649 columns, past the dense simplex's size cap
+        cfg = dataclasses.replace(
+            demo_sim_config("custom", seed=5, replications=1, bundling="min_empty_miles"),
+            supply=SupplyModel(rate=80, lifetime=(2, 3)), horizon_periods=2)
+        m = simulate(cfg, demo_coeffs(), demo_regions())
+        assert np.isfinite(m.cost_per_loaded_mile)
+
     def test_min_empty_miles_honours_max_bundles(self):
         # with no bundle allowed, min-empty-miles pairing is no bundling at all
         base = dataclasses.replace(demo_sim_config("custom", seed=3, replications=2),
