@@ -41,6 +41,38 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("command, options, digest", [
+        ("bundle", [[2, 0, 5], [3, 4, 1]], "975dfe5dc4639e20"),
+        ("greedy", [[2, 0, 5], [3, 4, 1]], "ce49b97670e5e25d"),
+    ])
+    def test_freight_instance_output_pinned(self, tmp_path, command, options, digest):
+        # six demo-geometry loads bundled up to three at a time; the digest is
+        # over the JSON output without its provenance, whose spec hash
+        # includes the (temporary) instance path
+        from uip.freight import demo_coeffs, demo_regions, freight_instance
+        from uip.model import FreightItemData, Item
+
+        ends = [((0.0, 0.0), (180.0, 240.0)), ((60.0, 65.0), (190.0, -10.0)),
+                ((175.0, 250.0), (5.0, 5.0)), ((185.0, -20.0), (50.0, 75.0)),
+                ((10.0, -5.0), (60.0, 70.0)), ((170.0, 235.0), (195.0, -20.0))]
+        loads = []
+        for i, (pickup, dropoff) in enumerate(ends):
+            f = FreightItemData(pickup, dropoff, 30)
+            loads.append(Item(i, salvage=3.0 * f.loaded_miles, freight=f))
+        coeffs, regions = demo_coeffs(), demo_regions()
+        inst = freight_instance(loads, coeffs, regions, demand=6.0, arrival_prob=0.3,
+                                max_bundles=2, max_bundle_size=3)
+        p = tmp_path / "inst.json"
+        p.write_text(instance_to_json(
+            inst, {"freight": {"coeffs": coeffs.to_dict(), "regions": regions.to_dict()}}))
+        code, text = run(tmp_path, command, "--instance", str(p))
+        assert code == 0
+        doc = json.loads(text)
+        del doc["provenance"]
+        assert doc["options"] == options
+        blob = json.dumps(doc, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
     def test_simulate_byte_identical(self, tmp_path):
         import json as _json
 
