@@ -80,7 +80,6 @@ from .freight import (
     SimMetrics,
     SupplyModel,
     load_marginal_value,
-    perceived_quality,
     simulate,
 )
 

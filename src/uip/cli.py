@@ -188,7 +188,7 @@ def _table_instance(table: dict, n_items: int, demand: float, mu: float, beta_p:
     is table[option.items]; at most one bundle."""
     customer = CustomerModel(types=(0,), arrival_pmf=np.array([1.0]),
                              price_sensitivity=beta_p,
-                             quality=lambda option, w: table[option.items])
+                             quality=lambda option: (table[option.items],))
     return MarketInstance(items=tuple(Item(j) for j in range(n_items)), customer=customer,
                           demand=demand, arrival_prob=mu, max_bundles=1,
                           max_bundle_size=max_bundle_size)

@@ -25,7 +25,7 @@ from scipy.special import stdtrit
 
 from .bundling import _greedy_sweep, min_empty_miles
 from .errors import ConfigError, MissingFreightData, config_errors
-from .model import BundleOption, CustomerModel, FreightItemData, Item, MarketInstance
+from .model import CustomerModel, FreightItemData, Item, MarketInstance
 from .numerics import _lse_kernel, _lse_weights, lambert_w_exp
 
 
@@ -156,23 +156,6 @@ def quality_vector(loads, coeffs, regions) -> np.ndarray:
                       regions.nearest(f[0].pickup), regions.nearest(f[-1].dropoff))
 
 
-def perceived_quality(
-    loads: Sequence[Item], region: int, coeffs: FreightCoeffs, regions: RegionModel
-) -> float:
-    """Carrier utility intercept of an option for one arrival region."""
-    return float(quality_vector(loads, coeffs, regions)[region])
-
-
-def make_freight_quality(items_by_id: dict, coeffs: FreightCoeffs, regions: RegionModel):
-    """Quality callable for CustomerModel with types = arrival regions."""
-
-    def quality(option: BundleOption, w: int) -> float:
-        loads = [items_by_id[i] for i in option.items]
-        return perceived_quality(loads, w, coeffs, regions)
-
-    return quality
-
-
 def freight_instance(
     loads: Sequence[Item],
     coeffs: FreightCoeffs,
@@ -184,11 +167,13 @@ def freight_instance(
 ) -> MarketInstance:
     """Wrap freight loads as a MarketInstance (types = arrival regions) so
     the DP, bounds, and bundling algorithms apply directly."""
+    by_id = {it.id: it for it in loads}
     customer = CustomerModel(
         types=tuple(regions.names),
         arrival_pmf=regions.arrival_pmf,
         price_sensitivity=coeffs.beta_p,
-        quality=make_freight_quality({it.id: it for it in loads}, coeffs, regions),
+        quality=lambda option: quality_vector([by_id[i] for i in option.items],
+                                              coeffs, regions),
     )
     return MarketInstance(
         items=tuple(loads),

@@ -4,10 +4,6 @@ Options are ordered sequences of distinct item ids everywhere, because
 ordering can change a bundle's perceived quality (delivery order in a
 freight bundle, display order in retail). An OptionSet is a pure-bundling
 assortment: every item of the instance belongs to exactly one option.
-
-Quality is a function interface rather than a stored table: the option
-universe can be large and freight quality depends on the arrival region, so
-per-(option, type) values are memoized with an explicit capacity instead.
 """
 
 from __future__ import annotations
@@ -15,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -154,20 +150,18 @@ def sub_instance(instance: "MarketInstance", item_ids) -> "MarketInstance":
 class CustomerModel:
     """Customer types, their arrival distribution, and perceived quality.
 
-    quality(option, type_index) returns the perceived quality of an option
-    for one customer type. The callable must be deterministic; results are
-    memoized up to cache_capacity entries (FIFO eviction). For non-MNL
-    choice models plugged in elsewhere, the caller is responsible for the
-    regularity of the pricing map (well-defined, non-decreasing optimal
-    price in the marginal value); it cannot be verified symbolically here.
+    quality(option) returns the option's perceived quality for every
+    customer type: a deterministic callable from a BundleOption to one float
+    per type, in `types` order. For non-MNL choice models plugged in
+    elsewhere, the caller is responsible for the regularity of the pricing
+    map (well-defined, non-decreasing optimal price in the marginal value);
+    it cannot be verified symbolically here.
     """
 
     types: tuple
     arrival_pmf: np.ndarray
     price_sensitivity: float
-    quality: Callable[[BundleOption, int], float]
-    cache_capacity: int = 1 << 18
-    _memo: dict = field(default_factory=dict, repr=False)
+    quality: Callable[[BundleOption], Sequence[float]]
 
     def __post_init__(self):
         self.types = tuple(self.types)
@@ -183,24 +177,20 @@ class CustomerModel:
     def n_types(self) -> int:
         return len(self.types)
 
-    def quality_of(self, option: BundleOption, type_index: int) -> float:
-        key = (option.items, type_index)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = float(self.quality(option, type_index))
-        if self.cache_capacity > 0:
-            if len(self._memo) >= self.cache_capacity:
-                self._memo.pop(next(iter(self._memo)))
-            self._memo[key] = val
-        return val
-
     def quality_matrix(self, options: Sequence[BundleOption]) -> np.ndarray:
-        """Qualities as an (n_types, n_options) array."""
-        return np.array(
-            [[self.quality_of(o, w) for o in options] for w in range(self.n_types)],
-            dtype=float,
-        )
+        """Qualities as an (n_types, n_options) array, one quality call per
+        option. Raises DimensionMismatch when a call does not return one
+        value per type."""
+        q = np.empty((self.n_types, len(options)))
+        for j, o in enumerate(options):
+            v = np.asarray(self.quality(o), dtype=float)
+            if v.shape != (self.n_types,):
+                raise DimensionMismatch(
+                    f"quality of option {o.items} has shape {v.shape}, expected "
+                    f"({self.n_types},): one value per customer type"
+                )
+            q[:, j] = v
+        return q
 
 
 @dataclass(eq=False)
@@ -290,7 +280,7 @@ def enumerate_options(
 
 def _utilities(customer: CustomerModel, options, prices, type_index) -> np.ndarray:
     prices = np.asarray(prices, dtype=float)
-    q = np.array([customer.quality_of(o, type_index) for o in options], dtype=float)
+    q = customer.quality_matrix(options)[type_index]
     return q + customer.price_sensitivity * prices
 
 
@@ -331,9 +321,7 @@ def extended_choice(
 
 def aggregated_quality(customer: CustomerModel, option) -> float:
     """kappa_i = ln E_X[e^{q_i^X}], a weighted log-sum-exp across types."""
-    opt = _as_option(option)
-    q = [customer.quality_of(opt, w) for w in range(customer.n_types)]
-    return log_sum_exp(q, customer.arrival_pmf)
+    return log_sum_exp(customer.quality(_as_option(option)), customer.arrival_pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -344,27 +332,28 @@ SCENARIOS = ("bounds-two-type", "A", "B", "C")
 
 
 def _scenario_quality(scenario: str, beta: float, features):
-    """Quality function over (option, type) for the built-in scenarios.
+    """Quality callable of the built-in scenarios: both types' qualities of
+    an option.
 
     features[id] holds the two intrinsic qualities (a, b) of an item; type 1
     of the bundling scenarios values their average while type 2 varies by
     scenario.
     """
+    if scenario not in SCENARIOS:
+        raise UnknownScenario(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    def q(option: BundleOption, w: int) -> float:
+    def q(option: BundleOption) -> tuple[float, float]:
         sa = float(sum(features[i][0] for i in option.items))
         sb = float(sum(features[i][1] for i in option.items))
         if scenario == "bounds-two-type":
-            return beta * (sa + 0.5 * sb) if w == 0 else beta * (0.5 * sa + sb)
-        if w == 0:
-            return 0.5 * beta * (sa + sb)
+            return beta * (sa + 0.5 * sb), beta * (0.5 * sa + sb)
         if scenario == "A":
-            return beta * sa
-        if scenario == "B":
-            return 2.0 * beta * min(sa, sb)
-        if scenario == "C":
-            return beta * sa**1.5
-        raise UnknownScenario(scenario)
+            second = beta * sa
+        elif scenario == "B":
+            second = 2.0 * beta * min(sa, sb)
+        else:
+            second = beta * sa**1.5
+        return 0.5 * beta * (sa + sb), second
 
     return q
 
@@ -388,8 +377,6 @@ def generate_synthetic(
     perceived-quality formulas are fixed by the scenario name. demand
     defaults to one expected arrival per item.
     """
-    if scenario not in SCENARIOS:
-        raise UnknownScenario(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     if count < 1:
         raise DomainError(f"a synthetic market needs at least one item, got {count}")
     rng = np.random.default_rng(seed)
@@ -487,15 +474,24 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
     cust = doc["customer"]
     spec = cust["quality_spec"]
     if "scenario" in spec:
-        features = {it.id: it.features or (0.0, 0.0) for it in items}
+        for it in items:
+            f = it.features
+            if f is None or len(f) != 2 or not all(
+                type(x) in (int, float) and math.isfinite(x) for x in f
+            ):
+                raise ConfigError(f"item {it.id} needs two finite numeric features, got {f}")
+        features = {it.id: it.features for it in items}
         quality = _scenario_quality(spec["scenario"], float(spec.get("beta", 1.0)), features)
     elif "freight" in spec:
-        from .freight import FreightCoeffs, RegionModel, make_freight_quality
+        from .freight import FreightCoeffs, RegionModel, quality_vector
 
         block = spec["freight"]
         coeffs = FreightCoeffs.from_dict(block["coeffs"])
         regions = RegionModel.from_dict(block["regions"])
-        quality = make_freight_quality({it.id: it for it in items}, coeffs, regions)
+        by_id = {it.id: it for it in items}
+
+        def quality(option: BundleOption) -> np.ndarray:
+            return quality_vector([by_id[i] for i in option.items], coeffs, regions)
     else:
         raise UnknownScenario(f"unrecognized quality_spec: {spec}")
     customer = CustomerModel(

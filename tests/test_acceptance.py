@@ -76,7 +76,7 @@ def _sandwich_instance(seed):
     cust = CustomerModel(
         types=(0,), arrival_pmf=[1.0],
         price_sensitivity=-float(rng.uniform(0.5, 2.0)),
-        quality=lambda o, w, qs=qs: float(qs[o.items[0]]),
+        quality=lambda o, qs=qs: (float(qs[o.items[0]]),),
     )
     return MarketInstance(
         items=tuple(Item(i, salvage=salvage) for i in range(L)), customer=cust,
@@ -210,7 +210,7 @@ def test_criterion_06_single_option_exactness():
         q0 = float(rng.uniform(-2, 2))
         cust = CustomerModel(types=(0,), arrival_pmf=[1.0],
                              price_sensitivity=-float(rng.uniform(0.5, 2.0)),
-                             quality=lambda o, w, q0=q0: q0)
+                             quality=lambda o, q0=q0: (q0,))
         inst = MarketInstance(
             items=(Item(0, salvage=float(rng.uniform(0, 1))),), customer=cust,
             demand=float(rng.uniform(0.5, 6.0)), arrival_prob=float(rng.uniform(0.1, 1.0)),

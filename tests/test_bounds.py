@@ -38,7 +38,7 @@ from uip.pricing import _closed_form_choice, canonical_sign, exact_dp
 
 def single_item_instance(q=0.0, beta_p=-1.0, salvage=0.0, demand=1.0, mu=1.0):
     cust = CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=beta_p,
-                         quality=lambda o, w: q)
+                         quality=lambda o: (q,))
     return MarketInstance(items=(Item(0, salvage=salvage),), customer=cust,
                           demand=demand, arrival_prob=mu, max_bundles=1,
                           max_bundle_size=1)
@@ -116,7 +116,8 @@ class TestBackwardUpper:
             cust = CustomerModel(
                 types=tuple(range(n_types)), arrival_pmf=rng.dirichlet(np.ones(n_types)),
                 price_sensitivity=-float(rng.uniform(0.5, 2.0)),
-                quality=lambda o, w, table=table: 1.2 ** len(o.items) * sum(table[w, o.items]))
+                quality=lambda o, table=table: [1.2 ** len(o.items) * sum(table[w, o.items])
+                                                 for w in range(len(table))])
             inst = MarketInstance(items=tuple(Item(i, salvage=0.1 * i) for i in range(5)),
                                   customer=cust, demand=4.0, arrival_prob=0.1,
                                   max_bundles=2, max_bundle_size=2)
@@ -470,7 +471,8 @@ def _random_market(k):
     cust = CustomerModel(
         types=tuple(range(n_types)), arrival_pmf=pmf,
         price_sensitivity=(-1.0) ** k * float(rng.uniform(0.5, 2.0)),
-        quality=lambda o, w: 1.2 ** len(o.items) * sum(table[w, o.items]))
+        quality=lambda o: [1.2 ** len(o.items) * sum(table[w, o.items])
+                           for w in range(n_types)])
     inst = MarketInstance(
         items=tuple(Item(i, salvage=float(rng.uniform(0.0, 0.5))) for i in range(n_items)),
         customer=cust, demand=0.3 if k % 5 == 0 else float(rng.uniform(1.0, 30.0)),

@@ -64,8 +64,8 @@ class TestColumnGeneration:
         # bundle quality so low that even the optimistic score is negative
         qs = {(i,): 1.0 for i in range(3)}
 
-        def quality(option, w):
-            return qs.get(option.items, -50.0)
+        def quality(option):
+            return (qs.get(option.items, -50.0),)
 
         cust = CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
                              quality=quality)
@@ -137,7 +137,8 @@ class TestSetEvaluator:
         table = rng.uniform(-0.5, 1.5, size=(9, 9))
         cust = CustomerModel(types=tuple(range(9)), arrival_pmf=np.full(9, 1 / 9),
                              price_sensitivity=-1.2,
-                             quality=lambda o, w: 1.2 ** len(o.items) * sum(table[w, o.items]))
+                             quality=lambda o: [1.2 ** len(o.items) * sum(table[w, o.items])
+                                                for w in range(9)])
         inst = MarketInstance(items=tuple(Item(i, salvage=0.05 * i) for i in range(9)),
                               customer=cust, demand=9.0, arrival_prob=0.1, max_bundles=4,
                               max_bundle_size=2)
@@ -240,7 +241,8 @@ def _greedy_case(name):
         table = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 4))
         cust = CustomerModel(types=(0, 1, 2), arrival_pmf=[0.25, 0.0, 0.75],
                              price_sensitivity=-1.3,
-                             quality=lambda o, w: float(sum(table[w, i] for i in o.items)))
+                             quality=lambda o: [float(sum(table[w, i] for i in o.items))
+                                                for w in range(3)])
         return MarketInstance(items=tuple(Item(i, salvage=0.1 * i) for i in range(4)),
                               customer=cust, demand=6.0, arrival_prob=0.2,
                               max_bundles=2, max_bundle_size=2)

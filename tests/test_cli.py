@@ -14,6 +14,26 @@ def run(tmp_path, *argv):
     return code, out.read_text() if out.exists() else ""
 
 
+def freight_instance_json() -> str:
+    """Six demo-geometry loads, bundled up to three at a time into at most
+    two bundles."""
+    from uip.freight import demo_coeffs, demo_regions, freight_instance
+    from uip.model import FreightItemData, Item
+
+    ends = [((0.0, 0.0), (180.0, 240.0)), ((60.0, 65.0), (190.0, -10.0)),
+            ((175.0, 250.0), (5.0, 5.0)), ((185.0, -20.0), (50.0, 75.0)),
+            ((10.0, -5.0), (60.0, 70.0)), ((170.0, 235.0), (195.0, -20.0))]
+    loads = []
+    for i, (pickup, dropoff) in enumerate(ends):
+        f = FreightItemData(pickup, dropoff, 30)
+        loads.append(Item(i, salvage=3.0 * f.loaded_miles, freight=f))
+    coeffs, regions = demo_coeffs(), demo_regions()
+    inst = freight_instance(loads, coeffs, regions, demand=6.0, arrival_prob=0.3,
+                            max_bundles=2, max_bundle_size=3)
+    return instance_to_json(
+        inst, {"freight": {"coeffs": coeffs.to_dict(), "regions": regions.to_dict()}})
+
+
 class TestDeterminism:
     def test_bounds_table_byte_identical(self, tmp_path):
         a = run(tmp_path, "bounds-table", "--L", "2", "--lambda", "3",
@@ -46,25 +66,10 @@ class TestDeterminism:
         ("greedy", [[2, 0, 5], [3, 4, 1]], "ce49b97670e5e25d"),
     ])
     def test_freight_instance_output_pinned(self, tmp_path, command, options, digest):
-        # six demo-geometry loads bundled up to three at a time; the digest is
-        # over the JSON output without its provenance, whose spec hash
-        # includes the (temporary) instance path
-        from uip.freight import demo_coeffs, demo_regions, freight_instance
-        from uip.model import FreightItemData, Item
-
-        ends = [((0.0, 0.0), (180.0, 240.0)), ((60.0, 65.0), (190.0, -10.0)),
-                ((175.0, 250.0), (5.0, 5.0)), ((185.0, -20.0), (50.0, 75.0)),
-                ((10.0, -5.0), (60.0, 70.0)), ((170.0, 235.0), (195.0, -20.0))]
-        loads = []
-        for i, (pickup, dropoff) in enumerate(ends):
-            f = FreightItemData(pickup, dropoff, 30)
-            loads.append(Item(i, salvage=3.0 * f.loaded_miles, freight=f))
-        coeffs, regions = demo_coeffs(), demo_regions()
-        inst = freight_instance(loads, coeffs, regions, demand=6.0, arrival_prob=0.3,
-                                max_bundles=2, max_bundle_size=3)
+        # the digest is over the JSON output without its provenance, whose
+        # spec hash includes the (temporary) instance path
         p = tmp_path / "inst.json"
-        p.write_text(instance_to_json(
-            inst, {"freight": {"coeffs": coeffs.to_dict(), "regions": regions.to_dict()}}))
+        p.write_text(freight_instance_json())
         code, text = run(tmp_path, command, "--instance", str(p))
         assert code == 0
         doc = json.loads(text)
@@ -186,16 +191,33 @@ class TestOutputs:
         assert code == 1
         assert err.startswith("error: ") and needle in err
 
-    def test_bad_bundle_instance_is_an_error(self, tmp_path, capsys):
-        inst = generate_synthetic(0, 3, "B", 2.0, demand=2.0)
-        doc = json.loads(instance_to_json(inst, {"scenario": "B", "beta": 2.0}))
-        del doc["customer"]["pmf"]
+    @pytest.mark.parametrize("market, edit, needle", [
+        ("scenario", lambda d: d["customer"].pop("pmf"), "missing key 'pmf'"),
+        # a quality vector of one value per type, whatever types the file lists
+        ("freight", lambda d: d["customer"].update(types=["SAT", "AUS"], pmf=[0.5, 0.5]),
+         "expected (2,)"),
+        ("freight", lambda d: d["customer"].update(types=[0, 1, 2, 3, 4], pmf=[0.2] * 5),
+         "expected (5,)"),
+        ("scenario", lambda d: d["customer"].update(types=[1], pmf=[1.0]), "expected (1,)"),
+        # scenario qualities need two numeric features per item
+        ("scenario", lambda d: d["items"][1].pop("features"), "item 1"),
+        ("scenario", lambda d: d["items"][1].update(features=[0.5]), "item 1"),
+        ("scenario", lambda d: d["items"][1].update(features=[0.5, "x"]), "item 1"),
+    ], ids=["missing-pmf", "freight-2-types", "freight-5-types", "scenario-1-type",
+            "no-features", "one-feature", "text-feature"])
+    def test_bad_bundle_instance_is_an_error(self, tmp_path, capsys, market, edit, needle):
+        if market == "freight":
+            doc = json.loads(freight_instance_json())
+        else:
+            inst = generate_synthetic(0, 3, "B", 2.0, demand=2.0)
+            doc = json.loads(instance_to_json(inst, {"scenario": "B", "beta": 2.0}))
+        edit(doc)
         p = tmp_path / "inst.json"
         p.write_text(json.dumps(doc))
         code, _ = run(tmp_path, "bundle", "--instance", str(p))
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: ") and "missing key 'pmf'" in err
+        assert err.startswith("error: ") and needle in err
 
     @pytest.mark.parametrize("flag", ["--coeffs", "--regions"])
     @pytest.mark.parametrize("doc, needle", [

@@ -17,7 +17,6 @@ from uip.freight import (
     demo_regions,
     demo_sim_config,
     load_marginal_value,
-    perceived_quality,
     quality_vector,
     sample_choice,
     simulate,
@@ -70,11 +69,11 @@ class TestPerceivedQuality:
         regions = demo_regions()
         c = zeroish_coeffs(beta_p=1.0, n=4)
         ld = Item(0, freight=FreightItemData((5.0, 5.0), (80.0, 10.0), 10))
-        assert perceived_quality([ld], 1, c, regions) == 0.0
+        assert quality_vector([ld], c, regions)[1] == 0.0
 
     def test_intercept_only_at_centroid(self):
         c = zeroish_coeffs(beta0=1.0)
-        assert perceived_quality([centroid_load()], 0, c, one_region()) == pytest.approx(1.0)
+        assert quality_vector([centroid_load()], c, one_region())[0] == pytest.approx(1.0)
 
     def test_zero_gap_bundle_has_no_interload_deadhead(self):
         # chained loads: dropoff(1) == pickup(2) adds no empty miles
@@ -82,26 +81,26 @@ class TestPerceivedQuality:
         c = zeroish_coeffs(beta_e=-1.0)
         a = Item(0, freight=FreightItemData((0.0, 0.0), (7.0, 0.0), 10))
         b = Item(1, freight=FreightItemData((7.0, 0.0), (9.0, 0.0), 10))
-        q = perceived_quality([a, b], 0, c, regions)
+        q = quality_vector([a, b], c, regions)[0]
         # only the approach leg (centroid -> first pickup = 0 here)
         assert q == pytest.approx(0.0, abs=1e-12)
         b2 = Item(1, freight=FreightItemData((10.0, 0.0), (12.0, 0.0), 10))
-        q2 = perceived_quality([a, b2], 0, c, regions)
+        q2 = quality_vector([a, b2], c, regions)[0]
         assert q2 == pytest.approx(-3.0)  # gap of 3 miles
 
     def test_bundle_indicator(self):
         regions = one_region()
         c = zeroish_coeffs(beta_b=-2.0)
         a, b = centroid_load(), Item(1, freight=FreightItemData((0.0, 0.0), (0.0, 0.0), 10))
-        assert perceived_quality([a], 0, c, regions) == 0.0
-        assert perceived_quality([a, b], 0, c, regions) == pytest.approx(-2.0)
+        assert quality_vector([a], c, regions)[0] == 0.0
+        assert quality_vector([a, b], c, regions)[0] == pytest.approx(-2.0)
         # every option of more than one load is a bundle, three chained loads too
         c3 = Item(2, freight=FreightItemData((0.0, 0.0), (0.0, 0.0), 10))
-        assert perceived_quality([a, b, c3], 0, c, regions) == -2.0
+        assert quality_vector([a, b, c3], c, regions)[0] == -2.0
 
     def test_missing_freight(self):
         with pytest.raises(MissingFreightData):
-            perceived_quality([Item(0)], 0, zeroish_coeffs(), one_region())
+            quality_vector([Item(0)], zeroish_coeffs(), one_region())[0]
 
 
 class TestExpirationPrice:
@@ -210,7 +209,7 @@ class TestBundlePrice:
 
 
 class TestSimulatorArrays:
-    def test_load_table_quality_is_perceived_quality(self):
+    def test_load_table_quality_is_quality_vector(self):
         regions, c = demo_regions(), demo_coeffs()
         rng = np.random.default_rng(4)
         loads = _Loads(regions, c, 0.0)
@@ -421,7 +420,7 @@ class TestSimulate:
                   freight=FreightItemData((0.0, 0.0), (100.0, 0.0), life))
         pbar = price_alone([ld], ld.salvage, coeffs, regions)
         kappa = log_sum_exp(quality_vector([ld], coeffs, regions), regions.arrival_pmf)
-        q = np.array([perceived_quality([ld], w, coeffs, regions) for w in range(2)])
+        q = np.array([quality_vector([ld], coeffs, regions)[w] for w in range(2)])
         alive = 1.0
         for price in log_prices(pbar, kappa, alpha, mu, coeffs.beta_p, expiration=life):
             e = np.exp(q + coeffs.beta_p * price)

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from uip.errors import CapExceeded, ConfigError, PartitionMismatch, UnknownScenario
+from uip.errors import (
+    CapExceeded,
+    ConfigError,
+    DimensionMismatch,
+    PartitionMismatch,
+    UnknownScenario,
+)
 from uip.model import (
     BundleOption,
     CustomerModel,
@@ -25,7 +31,7 @@ def flat_customer(q=0.0, beta_p=-1.0, n_types=1):
     pmf = np.full(n_types, 1.0 / n_types)
     return CustomerModel(
         types=tuple(range(n_types)), arrival_pmf=pmf,
-        price_sensitivity=beta_p, quality=lambda o, w: q,
+        price_sensitivity=beta_p, quality=lambda o: (q,) * n_types,
     )
 
 
@@ -97,7 +103,7 @@ class TestChoice:
             qs = rng.uniform(-3, 3, n)
             cust = CustomerModel(
                 types=(0,), arrival_pmf=[1.0], price_sensitivity=-rng.uniform(0.2, 3),
-                quality=lambda o, w, qs=qs: float(qs[o.items[0]]),
+                quality=lambda o, qs=qs: (float(qs[o.items[0]]),),
             )
             opts = [BundleOption((i,)) for i in range(n)]
             cv = mnl_choice(cust, opts, rng.uniform(-2, 4, n), 0)
@@ -110,7 +116,7 @@ class TestChoice:
             qs = rng.uniform(-2, 2, 4)
             cust = CustomerModel(
                 types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
-                quality=lambda o, w, qs=qs: float(qs[o.items[0]]),
+                quality=lambda o, qs=qs: (float(qs[o.items[0]]),),
             )
             opts = [BundleOption((i,)) for i in range(4)]
             p = rng.uniform(0, 2, 4)
@@ -123,7 +129,7 @@ class TestChoice:
         qs = rng.uniform(-2, 2, 3)
         cust = CustomerModel(
             types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.3,
-            quality=lambda o, w: float(qs[o.items[0]]),
+            quality=lambda o: (float(qs[o.items[0]]),),
         )
         opts = [BundleOption((i,)) for i in range(3)]
         p = rng.uniform(0, 2, 3)
@@ -136,7 +142,7 @@ class TestChoice:
         qs = rng.uniform(-2, 2, 3)
         cust = CustomerModel(
             types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
-            quality=lambda o, w: float(qs[o.items[0]]),
+            quality=lambda o: (float(qs[o.items[0]]),),
         )
         opts = [BundleOption((i,)) for i in range(3)]
         p = rng.uniform(0, 2, 3)
@@ -160,7 +166,7 @@ class TestChoice:
             qs = rng.uniform(-2, 2, n)
             cust = CustomerModel(
                 types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
-                quality=lambda o, w, qs=qs: float(qs[o.items[0]]),
+                quality=lambda o, qs=qs: (float(qs[o.items[0]]),),
             )
             opts = [BundleOption((i,)) for i in range(n)]
             p = rng.uniform(-1, 3, n)
@@ -182,14 +188,14 @@ class TestAggregatedQuality:
     def test_two_types(self):
         cust = CustomerModel(
             types=(0, 1), arrival_pmf=[0.5, 0.5], price_sensitivity=-1.0,
-            quality=lambda o, w: [0.0, np.log(3.0)][w],
+            quality=lambda o: [[0.0, np.log(3.0)][w] for w in range(2)],
         )
         assert aggregated_quality(cust, BundleOption((0,))) == pytest.approx(np.log(2.0))
 
     def test_zero_weight_ignored(self):
         cust = CustomerModel(
             types=(0, 1), arrival_pmf=[1.0, 0.0], price_sensitivity=-1.0,
-            quality=lambda o, w: [5.0, 99.0][w],
+            quality=lambda o: [[5.0, 99.0][w] for w in range(2)],
         )
         assert aggregated_quality(cust, BundleOption((0,))) == pytest.approx(5.0)
 
@@ -211,20 +217,20 @@ class TestSynthetic:
         o = BundleOption((0, 2))
         sa = feats[0, 0] + feats[2, 0]
         sb = feats[0, 1] + feats[2, 1]
-        assert inst.customer.quality_of(o, 0) == pytest.approx(0.5 * beta * (sa + sb))
-        assert inst.customer.quality_of(o, 1) == pytest.approx(beta * sa)
+        assert inst.customer.quality(o)[0] == pytest.approx(0.5 * beta * (sa + sb))
+        assert inst.customer.quality(o)[1] == pytest.approx(beta * sa)
         inst_c = generate_synthetic(3, 3, "C", beta)
-        assert inst_c.customer.quality_of(o, 1) == pytest.approx(beta * sa**1.5)
+        assert inst_c.customer.quality(o)[1] == pytest.approx(beta * sa**1.5)
         inst_b = generate_synthetic(3, 3, "B", beta)
-        assert inst_b.customer.quality_of(o, 1) == pytest.approx(2 * beta * min(sa, sb))
+        assert inst_b.customer.quality(o)[1] == pytest.approx(2 * beta * min(sa, sb))
 
     def test_bounds_two_type_example(self):
         # item with intrinsic qualities (1, 0): type 1 sees 1, type 2 sees 0.5
         from uip.model import _scenario_quality
 
         q = _scenario_quality("bounds-two-type", 1.0, np.array([[1.0, 0.0]]))
-        assert q(BundleOption((0,)), 0) == pytest.approx(1.0)
-        assert q(BundleOption((0,)), 1) == pytest.approx(0.5)
+        assert q(BundleOption((0,)))[0] == pytest.approx(1.0)
+        assert q(BundleOption((0,)))[1] == pytest.approx(0.5)
 
     def test_unknown_scenario(self):
         with pytest.raises(UnknownScenario):
@@ -300,29 +306,34 @@ class TestSerialization:
         )
 
 
-def test_quality_memo_capacity():
-    calls = {"n": 0}
+def test_quality_matrix_has_one_row_per_type():
+    calls = []
 
-    def q(option, w):
-        calls["n"] += 1
-        return 1.0
+    def quality(option):
+        calls.append(option.items)
+        return [float(len(option.items)), -1.0]
 
-    cust = CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
-                         quality=q, cache_capacity=2)
-    a, b, c = BundleOption((0,)), BundleOption((1,)), BundleOption((2,))
-    cust.quality_of(a, 0)
-    cust.quality_of(a, 0)
-    assert calls["n"] == 1
-    cust.quality_of(b, 0)
-    cust.quality_of(c, 0)  # evicts a
-    cust.quality_of(a, 0)
-    assert calls["n"] == 4
+    cust = CustomerModel(types=(0, 1), arrival_pmf=[0.5, 0.5], price_sensitivity=-1.0,
+                         quality=quality)
+    q = cust.quality_matrix([BundleOption((0,)), BundleOption((0, 1)), BundleOption((2,))])
+    assert q.dtype == np.float64 and q.flags.c_contiguous
+    assert q.tolist() == [[1.0, 2.0, 1.0], [-1.0, -1.0, -1.0]]
+    assert calls == [(0,), (0, 1), (2,)]  # one call per option
+    assert cust.quality_matrix([]).shape == (2, 0)
+
+
+@pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0), 1.0])
+def test_quality_of_wrong_length_is_an_error(value):
+    cust = CustomerModel(types=(0, 1), arrival_pmf=[0.5, 0.5], price_sensitivity=-1.0,
+                         quality=lambda o: value)
+    with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
+        cust.quality_matrix([BundleOption((0,))])
 
 
 def test_customer_model_validation():
     with pytest.raises(ValueError):
         CustomerModel(types=(0,), arrival_pmf=[0.7], price_sensitivity=-1.0,
-                      quality=lambda o, w: 0.0)
+                      quality=lambda o: (0.0,))
     with pytest.raises(ValueError):
         CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=0.0,
-                      quality=lambda o, w: 0.0)
+                      quality=lambda o: (0.0,))

@@ -47,7 +47,7 @@ def revenue(qualities, prices, beta_p, marginals):
 
 def flat_customer(q=0.0, beta_p=-1.0):
     return CustomerModel(types=(0,), arrival_pmf=[1.0],
-                         price_sensitivity=beta_p, quality=lambda o, w: q)
+                         price_sensitivity=beta_p, quality=lambda o: (q,))
 
 
 def single_item_instance(q=0.0, beta_p=-1.0, salvage=0.0, demand=1.0, mu=1.0):
@@ -141,7 +141,7 @@ class TestPriceFromProbs:
         rng = np.random.default_rng(1)
         qs = rng.uniform(-2, 2, 3)
         cust = CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.4,
-                             quality=lambda o, w: float(qs[o.items[0]]))
+                             quality=lambda o: (float(qs[o.items[0]]),))
         opts = [BundleOption((i,)) for i in range(3)]
         p = rng.uniform(-1, 3, 3)
         cv = mnl_choice(cust, opts, p, 0)
@@ -312,7 +312,7 @@ class TestBundlingCondition:
         table = {(j,): float(qs[j]) for j in range(5)}
         table[(0, 1)] = table[(1, 0)] = float(1.3 * (qs[0] + qs[1]))
         cust = CustomerModel(types=(0,), arrival_pmf=[1.0], price_sensitivity=-1.0,
-                             quality=lambda o, w: table[o.items])
+                             quality=lambda o: (table[o.items],))
         inst = MarketInstance(items=tuple(Item(j) for j in range(5)), customer=cust,
                               demand=4.0, arrival_prob=0.1, max_bundles=1,
                               max_bundle_size=2)
@@ -455,7 +455,8 @@ def _three_type_instance():
     table = np.random.default_rng(5).uniform(-0.5, 1.5, size=(3, 4))
     cust = CustomerModel(types=(0, 1, 2), arrival_pmf=[0.25, 0.0, 0.75],
                          price_sensitivity=-1.3,
-                         quality=lambda o, w: float(sum(table[w, i] for i in o.items)))
+                         quality=lambda o: [float(sum(table[w, i] for i in o.items))
+                                            for w in range(3)])
     return MarketInstance(items=tuple(Item(i, salvage=0.1 * i) for i in range(4)),
                           customer=cust, demand=6.0, arrival_prob=0.2,
                           max_bundles=2, max_bundle_size=2)
