@@ -279,6 +279,8 @@ def enumerate_options(
 
 
 def _utilities(customer: CustomerModel, options, prices, type_index) -> np.ndarray:
+    if not 0 <= type_index < customer.n_types:
+        raise DomainError(f"type_index {type_index} outside 0..{customer.n_types - 1}")
     prices = np.asarray(prices, dtype=float)
     q = customer.quality_matrix(options)[type_index]
     return q + customer.price_sensitivity * prices

@@ -7,6 +7,7 @@ from uip.errors import (
     CapExceeded,
     ConfigError,
     DimensionMismatch,
+    DomainError,
     PartitionMismatch,
     UnknownScenario,
 )
@@ -149,6 +150,16 @@ class TestChoice:
         sub = mnl_choice(cust, opts[:2], p[:2], 0)
         ext = extended_choice(cust, opts, p, np.array([1.0, 1.0, 0.0]), 0)
         assert np.allclose(ext[:2], sub.probs, atol=1e-14)
+
+    @pytest.mark.parametrize("type_index", [-1, 2])
+    def test_type_index_outside_the_types_is_an_error(self, type_index):
+        # both choice functions once read type 2 for any index but 0
+        inst = generate_synthetic(0, 3, "B", 2.0)
+        opts = [BundleOption((i,)) for i in range(3)]
+        with pytest.raises(DomainError):
+            mnl_choice(inst.customer, opts, [1.0] * 3, type_index)
+        with pytest.raises(DomainError):
+            extended_choice(inst.customer, opts, [1.0] * 3, np.ones(3), type_index)
 
     def test_extended_zero_rivals_and_partial(self):
         ext = extended_choice(flat_customer(), [BundleOption((0,))], [0.0], [0.0], 0)
@@ -323,7 +334,7 @@ def test_quality_matrix_has_one_row_per_type():
 
 
 @pytest.mark.parametrize("value", [(1.0,), (1.0, 2.0, 3.0), 1.0])
-def test_quality_of_wrong_length_is_an_error(value):
+def test_wrong_length_quality_is_an_error(value):
     cust = CustomerModel(types=(0, 1), arrival_pmf=[0.5, 0.5], price_sensitivity=-1.0,
                          quality=lambda o: value)
     with pytest.raises(DimensionMismatch, match=r"expected \(2,\)"):
