@@ -10,7 +10,6 @@ from .errors import (
     MissingFreightData,
     NumericalFailure,
     PartitionMismatch,
-    SolverStalled,
     UnknownScenario,
     ValidityWarning,
 )

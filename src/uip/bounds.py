@@ -146,11 +146,7 @@ def _upper_profiles(instance: MarketInstance, q: np.ndarray, xi: np.ndarray):
     of [q; xi]) run one recursion, and r and tau are expanded back through
     the inverse index. Every step is elementwise per column, and the type
     sum is _type_sum, so a column's values equal its recursion run alone,
-    bit for bit, wherever it sits in the pool. lambert_w_exp picks its path
-    by element count, and its Newton path stops on the whole array, so where
-    the distinct columns hold more than _W_SMALL_MAX elements a column's
-    values can differ by a few ulps from its run alone: they depend on
-    which distinct columns the pool holds, never on their order.
+    bit for bit, wherever it sits in the pool and whatever the pool's size.
     """
     cust = instance.customer
     beta_p = cust.price_sensitivity

@@ -73,11 +73,20 @@ def _at_least_one(flag: str, value: int) -> int:
     return value
 
 
+class _Unset(str):
+    """--format's default: equal to, and hashed and serialized as, the plain
+    string, but of its own type, so that _reject_ignored sees an explicit
+    --format csv."""
+
+
 def _reject_ignored(args, flags: dict[str, str], reason: str) -> None:
     """ConfigError if a flag in flags (dest -> flag) is set to other than
-    its default: the command would ignore it, yet it enters the spec hash."""
+    its default, or given at all where the default is _Unset: the command
+    would ignore it, yet it enters the spec hash."""
     defaults = build_parser().parse_args([args.command])
-    given = [flag for dest, flag in flags.items() if getattr(args, dest) != getattr(defaults, dest)]
+    given = [flag for dest, flag in flags.items()
+             if getattr(args, dest) != getattr(defaults, dest)
+             or type(getattr(args, dest)) is not type(getattr(defaults, dest))]
     if given:
         raise ConfigError(f"{reason}; drop {', '.join(given)}")
 
@@ -117,7 +126,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds to sweep")
     p.add_argument("--out", default="-", help="output path ('-' = stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=["csv", "json"], default=_Unset("csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +135,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def cmd_exact(args) -> int:
+    _reject_ignored(args, {"seeds": "--seeds", "kb": "--kb", "ks": "--ks"},
+                    "exact prices the singletons of one instance")
     inst = _load_instance(args)
     sol = exact_dp(inst, singletons(inst))
     payload = {
@@ -251,6 +262,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_bundle(args) -> int:
+    _reject_ignored(args, {"seeds": "--seeds", "format": "--format"},
+                    "bundle writes one JSON document for one instance")
     inst = _load_instance(args)
     cfg = ColumnGenConfig(n_gen=args.n_gen, n_eval=args.n_eval)
     chosen, res, trace = column_generation(inst, cfg)
@@ -269,6 +282,8 @@ def cmd_bundle(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    _reject_ignored(args, {"seeds": "--seeds", "format": "--format"},
+                    "greedy writes one JSON document for one instance")
     inst = _load_instance(args)
     chosen = greedy_bundle(inst, value_kind=args.value_kind)
     up = backward_upper(inst, chosen)

@@ -3,10 +3,8 @@ manager that reports a malformed input document as ConfigError.
 
 Policy for a solver that stops short of its tolerance:
 
-- A solver whose result is only valid once it has converged, and so cannot
-  certify it, raises: NumericalFailure when a certificate check fails (the
-  simplex), SolverStalled when an iteration cap is reached first (the
-  Newton path of lambert_w_exp).
+- A solver whose result is only valid once it has converged raises
+  NumericalFailure when its certificate check fails (the simplex).
 - A bound that stays certified however its solver stops (the fluid dual's
   value, the static bound's feasible point) returns normally and reports
   `converged` in BoundResult.extra.
@@ -55,10 +53,6 @@ class Infeasible(UipError):
     """An optimization problem has no feasible solution."""
 
 
-class SolverStalled(UipError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
-
-
 class DimensionMismatch(UipError, ValueError):
     """Array arguments have incompatible shapes."""
 
@@ -69,10 +63,13 @@ class ValidityWarning(UserWarning):
 
 @contextmanager
 def config_errors(what: str):
-    """Re-raise the KeyError, TypeError and ValueError of parsing a document
-    as ConfigError naming `what`; library errors pass through unchanged."""
+    """Re-raise the KeyError, TypeError and ValueError of parsing a document,
+    and a ConfigError, as ConfigError naming `what`; other library errors
+    pass through unchanged."""
     try:
         yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
     except UipError:
         raise
     except KeyError as exc:

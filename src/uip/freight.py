@@ -46,6 +46,8 @@ class RegionModel:
         r = len(self.names)
         if self.centroids.shape != (r, 2) or self.arrival_pmf.shape != (r,) or self.ehat.shape != (r,):
             raise ConfigError("region arrays must all have one row per region")
+        if not all(np.isfinite(a).all() for a in (self.centroids, self.arrival_pmf, self.ehat)):
+            raise ConfigError("region centroids, arrival_pmf and ehat must be finite")
         if abs(self.arrival_pmf.sum() - 1.0) > 1e-9 or np.any(self.arrival_pmf < 0):
             raise ConfigError("arrival_pmf must be a probability distribution")
         if len({tuple(c) for c in self.centroids}) != r:
@@ -92,6 +94,9 @@ class FreightCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "beta_org", np.asarray(self.beta_org, dtype=float))
         object.__setattr__(self, "beta_dst", np.asarray(self.beta_dst, dtype=float))
+        scalars = [self.beta0, self.beta_d, self.beta_e, self.beta_b, self.beta_p]
+        if not all(np.isfinite(a).all() for a in (scalars, self.beta_org, self.beta_dst)):
+            raise ConfigError("freight coefficients must be finite")
         if self.beta_p == 0:
             raise ConfigError("beta_p must be nonzero")
 

@@ -490,6 +490,17 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
         block = spec["freight"]
         coeffs = FreightCoeffs.from_dict(block["coeffs"])
         regions = RegionModel.from_dict(block["regions"])
+        # the quality vectors are in region order and priced with the
+        # customer block's pmf, so both copies of the distribution must agree
+        if tuple(cust["types"]) != regions.names:
+            raise ConfigError(f"customer types {list(cust['types'])} differ from the "
+                              f"freight region names {list(regions.names)}")
+        pmf = np.asarray(cust["pmf"], dtype=float)
+        if pmf.shape != regions.arrival_pmf.shape or not np.all(
+            np.abs(pmf - regions.arrival_pmf) <= 1e-12
+        ):
+            raise ConfigError(f"customer pmf {pmf.tolist()} differs from the freight "
+                              f"regions' arrival_pmf {regions.arrival_pmf.tolist()}")
         by_id = {it.id: it for it in items}
 
         def quality(option: BundleOption) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Numerics used throughout the pricing machinery.
 
 The principal-branch Lambert W function (scipy's lambertw) and an
-overflow-safe W(e^x) (scipy's Wright omega on small arrays, Newton's method
-on large ones), on scalars or arrays, and the weighted log-sum-exp of a
-vector or of every row of a matrix. All three are pure functions, safe to
-call from any number of concurrent workers.
+overflow-safe W(e^x) (scipy's Wright omega), on scalars or arrays, and the
+weighted log-sum-exp of a vector or of every row of a matrix. All three are
+pure functions, safe to call from any number of concurrent workers.
 """
 
 from __future__ import annotations
@@ -12,15 +11,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import lambertw, wrightomega
 
-from .errors import DimensionMismatch, DomainError, SolverStalled
+from .errors import DimensionMismatch, DomainError
 
 _INV_E = np.exp(-1.0)
-
-# Largest array lambert_w_exp hands to wrightomega (see its docstring).
-_W_SMALL_MAX = 1024
-# Residual tolerance and iteration cap of lambert_w_exp's Newton path
-_NEWTON_TOL = 1e-12
-_NEWTON_MAX_ITER = 64
 
 
 def lambert_w0(z):
@@ -42,44 +35,21 @@ def lambert_w0(z):
 
 
 def lambert_w_exp(x):
-    """W(e^x) computed without ever forming e^x.
+    """W(e^x) computed without ever forming e^x, on a scalar or an array.
 
-    Two regimes, chosen by element count. Up to _W_SMALL_MAX (1024)
-    elements, scalars included: one scipy.special.wrightomega call (the
-    Wright omega function equals W(e^x) on the real line; Lawrence, Corless
-    & Jeffrey, ACM TOMS Alg. 917). Larger arrays: Newton's method on
-    u + e^u = x for u = ln g, returning g = e^u. The crossover was measured
-    on a 2-vCPU x86 host at x in [-3, 1.5]: wrightomega takes 0.4 us for a
-    scalar and 5.5 us at 64 elements, where the Newton loop's numpy
-    overhead costs 50-65 us; at 1024 elements it takes 0.6-0.9x Newton's
-    time, at 4096 1.6x and at 16k 2x. Newton takes one more step after its
-    residual |u + e^u - x| passes, because for x << 0 that absolute test
-    passes while g = e^u is still off by up to 1e-13 relative; with the
-    extra step the two paths agree to a few ulps (3.7e-15 on [-50, -10]).
-    Newton raises SolverStalled if the residual test has not passed after
-    _NEWTON_MAX_ITER steps. Both handle arguments far beyond
-    ln(float_max). The map is
-    strictly increasing and nonexpansive, which the backward recursions
-    rely on.
+    One scipy.special.wrightomega call at every size (the Wright omega
+    function equals W(e^x) on the real line; Lawrence, Corless & Jeffrey,
+    ACM TOMS Alg. 917). It works element by element, so each value is the
+    same bits whatever else shares its call. It handles arguments far beyond
+    ln(float_max). The map is strictly increasing and nonexpansive, which
+    the backward recursions rely on. Raises DomainError on a non-finite
+    argument.
     """
     x_arr = np.asarray(x, dtype=float)
     if not np.isfinite(x_arr).all():
         raise DomainError("lambert_w_exp: argument must be finite")
-    if x_arr.size <= _W_SMALL_MAX:
-        g = wrightomega(x_arr)
-        return float(g) if x_arr.ndim == 0 else g
-
-    # h(u) = u + e^u - x is increasing and convex; starting where h >= 0
-    # makes Newton decrease monotonically to the root without overshoot.
-    u = np.where(x_arr >= 1.0, np.log(np.maximum(x_arr, 1.0)), x_arr)
-    for _ in range(_NEWTON_MAX_ITER):
-        eu = np.exp(u)
-        h = u + eu - x_arr
-        done = np.all(np.abs(h) <= _NEWTON_TOL * (1.0 + np.abs(x_arr)))
-        u = u - h / (1.0 + eu)
-        if done:
-            return np.exp(u)
-    raise SolverStalled(f"lambert_w_exp: Newton not converged after {_NEWTON_MAX_ITER} steps")
+    g = wrightomega(x_arr)
+    return float(g) if x_arr.ndim == 0 else g
 
 
 def log_sum_exp(values, weights=None):

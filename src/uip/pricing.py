@@ -211,10 +211,7 @@ def exact_dp(
     are ragged; padding them for log_sum_exp adds work and changes bits), and
     Gamma comes from one lambert_w_exp call on the (types, 2^N - 1) block.
     The type-weighted sum adds the rows in type order, as a per-type loop
-    would. lambert_w_exp picks its regime by element count, so the block
-    can take the Newton path where one type's row alone would take
-    wrightomega (two types at N = 10: 2046 against 1023 elements); the
-    values then differ from a per-type loop by a few ulps. The empty set
+    would, so the values equal a per-type loop bit for bit. The empty set
     keeps its value in every period, and an empty option set is worth 0.
     """
     option_set.validate(instance)

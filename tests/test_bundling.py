@@ -232,6 +232,33 @@ class TestColumnGenerationValues:
                        if opt_set.canonical() == chosen.canonical()]
             assert entries == [res.value]
 
+    def test_freight_pool_values_equal_values_alone(self):
+        # eight demo-geometry loads in bundles of up to three: 400 options
+        # over four regions, 1,600 W elements per step. Each option's profile
+        # is the same bits in the pool as alone, and the reported V^DFA is
+        # the public dfa of the chosen set under its own upper trajectory.
+        from uip.freight import demo_coeffs, demo_regions, freight_instance
+
+        ends = [((0.0, 0.0), (180.0, 240.0)), ((60.0, 65.0), (190.0, -10.0)),
+                ((175.0, 250.0), (5.0, 5.0)), ((185.0, -20.0), (50.0, 75.0)),
+                ((10.0, -5.0), (60.0, 70.0)), ((170.0, 235.0), (195.0, -20.0)),
+                ((195.0, -10.0), (0.0, 5.0)), ((50.0, 70.0), (185.0, 250.0))]
+        loads = []
+        for i, (pickup, dropoff) in enumerate(ends):
+            f = FreightItemData(pickup, dropoff, 30)
+            loads.append(Item(i, salvage=3.0 * f.loaded_miles, freight=f))
+        inst = freight_instance(loads, demo_coeffs(), demo_regions(), demand=6.0,
+                                arrival_prob=0.3, max_bundles=3, max_bundle_size=3)
+        pool = enumerate_options(inst)
+        assert len(pool) == 400
+        r, tau = singleton_upper_profiles(inst, pool)
+        for j, option in enumerate(pool):
+            r_alone, tau_alone = singleton_upper_profiles(inst, [option])
+            assert r_alone[0] == r[j]
+            assert np.array_equal(tau_alone[:, 0], tau[:, j])
+        chosen, res, _ = column_generation(inst)
+        assert res.value == dfa_value(inst, chosen)
+
 
 def _greedy_case(name):
     """Instances of the greedy pins: two retail scenarios, one of them also

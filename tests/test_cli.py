@@ -193,18 +193,26 @@ class TestOutputs:
 
     @pytest.mark.parametrize("market, edit, needle", [
         ("scenario", lambda d: d["customer"].pop("pmf"), "missing key 'pmf'"),
-        # a quality vector of one value per type, whatever types the file lists
+        # the customer block's types and pmf must be the regions' names and
+        # arrival_pmf, in the same order
         ("freight", lambda d: d["customer"].update(types=["SAT", "AUS"], pmf=[0.5, 0.5]),
-         "expected (2,)"),
+         "differ from the freight region names"),
         ("freight", lambda d: d["customer"].update(types=[0, 1, 2, 3, 4], pmf=[0.2] * 5),
-         "expected (5,)"),
+         "differ from the freight region names"),
+        ("freight", lambda d: d["customer"].update(types=d["customer"]["types"][::-1],
+                                                   pmf=[0.7, 0.1, 0.1, 0.1]),
+         "differ from the freight region names"),
+        ("freight", lambda d: d["customer"].update(pmf=[0.7, 0.1, 0.1, 0.1]),
+         "differs from the freight regions' arrival_pmf"),
+        # a quality vector of one value per type, whatever types the file lists
         ("scenario", lambda d: d["customer"].update(types=[1], pmf=[1.0]), "expected (1,)"),
         # scenario qualities need two numeric features per item
         ("scenario", lambda d: d["items"][1].pop("features"), "item 1"),
         ("scenario", lambda d: d["items"][1].update(features=[0.5]), "item 1"),
         ("scenario", lambda d: d["items"][1].update(features=[0.5, "x"]), "item 1"),
-    ], ids=["missing-pmf", "freight-2-types", "freight-5-types", "scenario-1-type",
-            "no-features", "one-feature", "text-feature"])
+    ], ids=["missing-pmf", "freight-2-types", "freight-5-types", "freight-reversed-types",
+            "freight-other-pmf", "scenario-1-type", "no-features", "one-feature",
+            "text-feature"])
     def test_bad_bundle_instance_is_an_error(self, tmp_path, capsys, market, edit, needle):
         if market == "freight":
             doc = json.loads(freight_instance_json())
@@ -223,13 +231,24 @@ class TestOutputs:
     @pytest.mark.parametrize("doc, needle", [
         ({"beta0": 1.0}, "missing key"),
         (None, "line 1 column"),  # truncated file: malformed JSON
+        # the demo file with one entry made non-finite, by flag
+        ({"--coeffs": ("beta_p", np.nan),
+          "--regions": ("arrival_pmf", [np.nan, 0.5, 0.5, 0.0])}, "must be finite"),
+        ({"--coeffs": ("beta_org", [-0.15, np.inf, 0.15, 0.1]),
+          "--regions": ("centroids", [[0.0, 0.0], [55.0, np.nan], [180.0, 245.0],
+                                      [190.0, -15.0]])}, "must be finite"),
+        ({"--coeffs": ("beta_dst", [-0.1, -0.2, -np.inf, 0.1]),
+          "--regions": ("ehat", [45.0, np.inf, 35.0, 40.0])}, "must be finite"),
     ])
     def test_bad_coeff_or_region_file_is_an_error(self, tmp_path, capsys, flag, doc, needle):
         from uip.freight import demo_coeffs, demo_regions
 
+        full = (demo_coeffs() if flag == "--coeffs" else demo_regions()).to_dict()
         if doc is None:
-            full = (demo_coeffs() if flag == "--coeffs" else demo_regions()).to_dict()
             text = json.dumps(full)[:40]
+        elif flag in doc:
+            key, value = doc[flag]
+            text = json.dumps(dict(full, **{key: value}))
         else:
             text = json.dumps(doc)
         (tmp_path / "bad.json").write_text(text)
@@ -255,6 +274,14 @@ class TestOutputs:
         ["bounds-table", "--instance", "/nonexistent.json"],
         ["bounds-table", "--kb", "3"],
         ["bounds-table", "--ks", "2"],
+        # flags the command ignores
+        ["bundle", "--seeds", "3"],
+        ["bundle", "--format", "csv"],
+        ["greedy", "--seeds", "3"],
+        ["greedy", "--format", "csv"],
+        ["exact", "--seeds", "3"],
+        ["exact", "--kb", "3"],
+        ["exact", "--ks", "1"],
         ["bundle", "--lambda", "0"],
         ["bundle", "--L", "3", "--lambda", "0.05", "--mu", "0.1"],
         ["simulate", "--seeds", "-1"],

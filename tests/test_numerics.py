@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uip.errors import DimensionMismatch, DomainError, SolverStalled
+from uip.errors import DimensionMismatch, DomainError
 import uip.numerics
-from uip.numerics import (
-    _W_SMALL_MAX,
-    lambert_w0,
-    lambert_w_exp,
-    log_sum_exp,
-)
+from uip.numerics import lambert_w0, lambert_w_exp, log_sum_exp
 
 
 def bisect_w(z, lo=-1.0, hi=None, iters=200):
@@ -98,12 +93,6 @@ def test_w_exp_rejects_nonfinite():
         lambert_w_exp(np.inf)
 
 
-def test_w_exp_newton_cap_raises(monkeypatch):
-    monkeypatch.setattr(uip.numerics, "_NEWTON_MAX_ITER", 1)
-    with pytest.raises(SolverStalled):
-        lambert_w_exp(np.linspace(-3.0, 30.0, _W_SMALL_MAX + 1))
-
-
 @pytest.fixture
 def wrightomega_calls(monkeypatch):
     """Count the calls lambert_w_exp makes to scipy's wrightomega."""
@@ -118,19 +107,16 @@ def wrightomega_calls(monkeypatch):
     return calls
 
 
-def test_w_exp_small_and_large_paths_agree(wrightomega_calls):
-    # the same points through wrightomega (arrays at and below the crossover)
-    # and through the Newton loop (one element above it). An array entirely
-    # below -10 makes Newton's absolute residual test pass early, so it gets
-    # its own case.
-    for lo, hi, rtol in ((-8.0, 50.0, 1e-14), (-50.0, -10.0, 5e-15)):
-        wrightomega_calls.clear()
-        x = np.random.default_rng(3).uniform(lo, hi, _W_SMALL_MAX + 1)
-        small = np.concatenate([lambert_w_exp(x[:-1]), lambert_w_exp(x[-1:])])
-        assert wrightomega_calls == [_W_SMALL_MAX, 1]
-        large = lambert_w_exp(x)
-        assert wrightomega_calls == [_W_SMALL_MAX, 1]
-        assert np.max(np.abs(small - large) / large) <= rtol
+def test_w_exp_value_does_not_depend_on_its_batch(wrightomega_calls):
+    # one wrightomega call at every size, and each element's value is the
+    # same bits in one call, in chunks and alone
+    x = np.linspace(-50.0, 50.0, 4097)
+    whole = lambert_w_exp(x)
+    assert wrightomega_calls == [x.size]
+    chunked = np.concatenate([lambert_w_exp(c) for c in np.array_split(x, 7)])
+    scalar = np.array([lambert_w_exp(v) for v in x])
+    assert np.array_equal(whole, chunked)
+    assert np.array_equal(whole, scalar)
 
 
 def test_w_exp_small_path_increasing_and_nonexpansive(wrightomega_calls):
@@ -142,7 +128,7 @@ def test_w_exp_small_path_increasing_and_nonexpansive(wrightomega_calls):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("size", [None, 3, _W_SMALL_MAX + 1])
+@pytest.mark.parametrize("size", [None, 3, 1025])
 def test_w_exp_both_paths_reject_nonfinite(bad, size):
     x = bad if size is None else np.concatenate([np.zeros(size - 1), [bad]])
     with pytest.raises(DomainError):

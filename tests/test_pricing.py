@@ -526,13 +526,13 @@ def _per_type_dp(inst, option_set):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ten_options_match_per_type_loop(seed):
-    # two types at N=10 give one W call of 2046 elements (Newton's regime)
-    # where the per-type loop makes two of 1023 (wrightomega's)
+    # two types at N=10 give one W call of 2046 elements where the per-type
+    # loop makes two of 1023; W is elementwise, so the values are the same bits
     inst = generate_synthetic(seed, 10, "bounds-two-type", 1.0, demand=3.0,
                               arrival_prob=0.1, salvage=0.3, max_bundle_size=1)
     got = exact_dp(inst, singletons(inst)).values
     want = _per_type_dp(inst, singletons(inst))
-    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert np.array_equal(got, want)
 
 
 # (case, SHA-256 prefix of DpSolution.gammas at every period and nonempty
