@@ -500,28 +500,35 @@ def min_empty_miles(
     ehat_dst = np.asarray(ehat_dst, dtype=float)
     if ehat_dst.shape != (len(loads),):
         raise DimensionMismatch("one trailing-deadhead value per load required")
-    by_id = {it.id: it for it in loads}
+    pickup = np.array([it.freight.pickup for it in loads], dtype=float).reshape(-1, 2)
+    dropoff = np.array([it.freight.dropoff for it in loads], dtype=float).reshape(-1, 2)
+    first, last = _min_deadhead_pairs(pickup, dropoff, ehat_dst, max_bundles)
     ids = [it.id for it in loads]
-    pos = {l: k for k, l in enumerate(ids)}
+    return OptionSet(tuple(
+        BundleOption((ids[k],) if k == l else (ids[k], ids[l]))
+        for k, l in zip(first.tolist(), last.tolist())
+    ))
 
-    options = [BundleOption((l,)) for l in ids]
-    rewards = [0.0] * len(ids)
-    for k in ids:
-        for l in ids:
-            if k == l:
-                continue
-            fk, fl = by_id[k].freight, by_id[l].freight
-            saving = ehat_dst[pos[k]] - float(np.hypot(
-                fl.pickup[0] - fk.dropoff[0], fl.pickup[1] - fk.dropoff[1]
-            ))
-            if saving > 0.0:
-                options.append(BundleOption((k, l)))
-                rewards.append(saving)
+
+def _min_deadhead_pairs(pickup, dropoff, ehat_dst, max_bundles: Optional[int]):
+    """min_empty_miles on the loads k = 0..n-1 given as arrays: pickup[k]
+    and dropoff[k] of shape (n, 2), trailing deadhead ehat_dst[k]. Returns
+    the chosen options as first and last positions (equal for a singleton),
+    the singletons first. The pairs (k, l) are the MILP's columns in
+    row-major order, each saving scored in one array hypot."""
+    n = len(ehat_dst)
+    gap = np.hypot(pickup[:, 0] - dropoff[:, :1], pickup[:, 1] - dropoff[:, 1:])
+    saving = ehat_dst[:, None] - gap
+    kk, ll = np.nonzero((saving > 0.0) & ~np.eye(n, dtype=bool))
+    options = [BundleOption((k,)) for k in range(n)]
+    options += [BundleOption(pair) for pair in zip(kk.tolist(), ll.tolist())]
     milp = SetPartitionMilp(
         options=options,
-        rewards=np.asarray(rewards),
-        item_ids=ids,
-        max_bundles=len(ids) if max_bundles is None else max_bundles,
+        rewards=np.concatenate([np.zeros(n), saving[kk, ll]]),
+        item_ids=range(n),
+        max_bundles=n if max_bundles is None else max_bundles,
     )
     z, _ = bnb_solve(milp)
-    return OptionSet(tuple(assignment_options(milp, z)))
+    chosen = assignment_options(milp, z)
+    return (np.array([o.items[0] for o in chosen], dtype=np.int64),
+            np.array([o.items[-1] for o in chosen], dtype=np.int64))

@@ -93,6 +93,10 @@ def _reject_ignored(args, flags: dict[str, str], reason: str) -> None:
 
 def _load_instance(args) -> MarketInstance:
     if args.instance:
+        _reject_ignored(args, {"scenario": "--scenario", "L": "--L", "lam": "--lambda",
+                               "mu": "--mu", "beta": "--beta", "beta_p": "--beta-p",
+                               "kb": "--kb", "ks": "--ks"},
+                        "--instance takes the whole market from the file")
         with open(args.instance) as fh:
             return instance_from_json(fh.read())
     return generate_synthetic(
@@ -247,6 +251,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_figure1(args) -> int:
+    _reject_ignored(args, {"seeds": "--seeds"}, "figure1 computes one fixed example")
     grid = _parse_grid(args.lambda_grid)
     vals = list(map(intro_example_values, grid))
     rows = [
@@ -336,6 +341,7 @@ def cmd_simulate(args) -> int:
 def cmd_condition_scatter(args) -> int:
     """Sampled first-order-condition checks: does delta-kappa above the
     size threshold predict a positive exact improvement?"""
+    _reject_ignored(args, {"seeds": "--seeds"}, "condition-scatter draws from one --seed")
     rng = np.random.default_rng(args.seed)
     grid = _parse_grid(args.lambda_grid)
     _at_least_one("--samples", args.samples)

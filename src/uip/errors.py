@@ -63,9 +63,9 @@ class ValidityWarning(UserWarning):
 
 @contextmanager
 def config_errors(what: str):
-    """Re-raise the KeyError, TypeError and ValueError of parsing a document,
-    and a ConfigError, as ConfigError naming `what`; other library errors
-    pass through unchanged."""
+    """Re-raise the KeyError, IndexError, TypeError and ValueError of parsing
+    a document, and a ConfigError, as ConfigError naming `what`; other
+    library errors pass through unchanged."""
     try:
         yield
     except ConfigError as exc:
@@ -74,5 +74,5 @@ def config_errors(what: str):
         raise
     except KeyError as exc:
         raise ConfigError(f"{what}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc

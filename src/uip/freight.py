@@ -23,9 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
-from .bundling import _greedy_sweep, min_empty_miles
+from .bundling import _greedy_sweep, _min_deadhead_pairs
 from .errors import ConfigError, MissingFreightData, config_errors
-from .model import CustomerModel, FreightItemData, Item, MarketInstance
+from .model import CustomerModel, Item, MarketInstance
 from .numerics import _lse_kernel, _lse_weights, lambert_w_exp
 
 
@@ -335,6 +335,24 @@ class SimConfig:
             return cls(supply=SupplyModel(**sup), **kwargs)
 
 
+# Per-replication metrics, in output order: three ratios, then the running
+# totals they are built from.
+_METRICS = (
+    "cost_per_loaded_mile",
+    "avg_empty_miles",
+    "unmet_deadline_rate",
+    "total_cost",
+    "loaded_miles",
+    "empty_miles",
+    "booked",
+    "salvaged",
+    "price_paid",
+    "penalty_paid",
+    "booked_miles",
+    "salvaged_miles",
+)
+
+
 @dataclass
 class SimMetrics:
     """Per-replication samples plus mean and CI half-width per metric."""
@@ -551,25 +569,6 @@ def _greedy_pairs(loads: _Loads, uids, marginals, max_bundles, region=None):
     return first[chosen], last[chosen], q[chosen]
 
 
-def _empty_mile_pairs(loads: _Loads, uids, max_bundles):
-    """min_empty_miles pairing of the loads uids, as first and last
-    positions in uids (equal for a singleton)."""
-    items = [
-        Item(
-            id=k,
-            freight=FreightItemData(
-                pickup=tuple(loads.pickup[u]),
-                dropoff=tuple(loads.dropoff[u]),
-                expiration=max(int(loads.lifetime[u]), 1),
-            ),
-        )
-        for k, u in enumerate(uids)
-    ]
-    ehat_dst = loads.regions.ehat[loads.dst[uids]]
-    groups = [o.items for o in min_empty_miles(items, ehat_dst, max_bundles)]
-    return np.array([g[0] for g in groups]), np.array([g[-1] for g in groups])
-
-
 def _cdf(pmf) -> list:
     """CDF for draws with bisect_right(cdf, rng.random()), which reproduces
     rng.choice(len(pmf), p=pmf) draw for draw."""
@@ -614,15 +613,7 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
     loads = _Loads(regions, coeffs, penalty_per_mile)
     menu = _Menu(loads)
     expiring = defaultdict(list)  # period -> uids that expire then, ascending
-    cost = 0.0
-    loaded_miles = 0.0
-    empty_miles = 0.0
-    booked = 0
-    salvaged = 0
-    price_paid = 0.0
-    penalty_paid = 0.0
-    booked_miles = 0.0
-    salvaged_miles = 0.0
+    tot = dict.fromkeys(_METRICS[3:], 0.0)
 
     def load_prices(uids, now):
         """Current trajectory prices and marginal values of the loads uids."""
@@ -640,7 +631,8 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
             marg = load_prices(uids, now)[1]
             first, last, q = _greedy_pairs(loads, uids, marg, config.max_bundles, region)
         else:
-            first, last = _empty_mile_pairs(loads, uids, config.max_bundles)
+            first, last = _min_deadhead_pairs(loads.pickup[uids], loads.dropoff[uids],
+                                              regions.ehat[loads.dst[uids]], config.max_bundles)
             q = loads.quality(uids[first], uids[last])
         menu.set(uids[first], uids[last], q)
 
@@ -668,12 +660,12 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
         expired = [u for u in expiring.pop(now, ()) if loads.alive[u]]
         for u in expired:
             penalty = penalty_per_mile * loads.dist[u]
-            cost += penalty
-            penalty_paid += penalty
-            loaded_miles += loads.dist[u]
-            salvaged_miles += loads.dist[u]
-            empty_miles += loads.approach[u, loads.org[u]]
-            salvaged += 1
+            tot["total_cost"] += penalty
+            tot["penalty_paid"] += penalty
+            tot["loaded_miles"] += loads.dist[u]
+            tot["salvaged_miles"] += loads.dist[u]
+            tot["empty_miles"] += loads.approach[u, loads.org[u]]
+            tot["salvaged"] += 1
         if expired:
             loads.alive[expired] = False
             if not personalized:
@@ -713,33 +705,26 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
             continue
         j = int(shown[pick])
         first, last = int(menu.first[j]), int(menu.last[j])
-        cost += prices[j]
-        price_paid += prices[j]
-        empty_miles += loads.approach[first, region]
+        tot["total_cost"] += prices[j]
+        tot["price_paid"] += prices[j]
+        tot["empty_miles"] += loads.approach[first, region]
         if first != last:
-            empty_miles += _dist(loads.dropoff[first], loads.pickup[last])
+            tot["empty_miles"] += _dist(loads.dropoff[first], loads.pickup[last])
         for u in (first,) if first == last else (first, last):
-            loaded_miles += loads.dist[u]
-            booked_miles += loads.dist[u]
-            booked += 1
+            tot["loaded_miles"] += loads.dist[u]
+            tot["booked_miles"] += loads.dist[u]
+            tot["booked"] += 1
         loads.alive[[first, last]] = False
         if not personalized:
             menu.remove(j)
 
-    resolved = booked + salvaged
+    resolved = tot["booked"] + tot["salvaged"]
+    loaded = tot["loaded_miles"]
     return {
-        "cost_per_loaded_mile": cost / loaded_miles if loaded_miles > 0 else 0.0,
-        "avg_empty_miles": empty_miles / resolved if resolved else 0.0,
-        "unmet_deadline_rate": salvaged / resolved if resolved else 0.0,
-        "total_cost": cost,
-        "loaded_miles": loaded_miles,
-        "empty_miles": empty_miles,
-        "booked": float(booked),
-        "salvaged": float(salvaged),
-        "price_paid": price_paid,
-        "penalty_paid": penalty_paid,
-        "booked_miles": booked_miles,
-        "salvaged_miles": salvaged_miles,
+        "cost_per_loaded_mile": tot["total_cost"] / loaded if loaded > 0 else 0.0,
+        "avg_empty_miles": tot["empty_miles"] / resolved if resolved else 0.0,
+        "unmet_deadline_rate": tot["salvaged"] / resolved if resolved else 0.0,
+        **tot,
     }
 
 
@@ -747,31 +732,18 @@ def simulate(config: SimConfig, coeffs: FreightCoeffs, regions: RegionModel) -> 
     """Seeded multi-replication marketplace simulation.
 
     Replication r runs on seed XOR splitmix64(r); metrics are aggregated in
-    replication order, so results are bit-identical for a fixed config.
+    replication order, so results are bit-identical for a fixed config. The
+    samples hold one array per metric, in the order of _METRICS.
     """
-    keys = (
-        "cost_per_loaded_mile",
-        "avg_empty_miles",
-        "unmet_deadline_rate",
-        "total_cost",
-        "loaded_miles",
-        "empty_miles",
-        "booked",
-        "salvaged",
-        "price_paid",
-        "penalty_paid",
-        "booked_miles",
-        "salvaged_miles",
-    )
     for key in ("pickup_pmf", "dropoff_pmf"):
         pmf = getattr(config.supply, key)
         if pmf is not None and len(pmf) != regions.n_regions:
             raise ConfigError(f"{key} has {len(pmf)} entries for {regions.n_regions} regions")
-    samples = {k: np.empty(config.replications) for k in keys}
+    samples = {k: np.empty(config.replications) for k in _METRICS}
     for r in range(config.replications):
         rep_seed = (config.seed ^ splitmix64(r)) & ((1 << 63) - 1)
         out = _run_replication(config, coeffs, regions, rep_seed)
-        for k in keys:
+        for k in _METRICS:
             samples[k][r] = out[k]
     return SimMetrics(samples=samples, confidence=config.confidence)
 

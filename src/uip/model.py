@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +38,14 @@ class FreightItemData:
     pickup: tuple[float, float]
     dropoff: tuple[float, float]
     expiration: int
+
+    def __post_init__(self):
+        for name in ("pickup", "dropoff"):
+            point = getattr(self, name)
+            if not (isinstance(point, (tuple, list)) and len(point) == 2 and all(
+                isinstance(x, numbers.Real) and math.isfinite(x) for x in point
+            )):
+                raise DomainError(f"{name} must be two finite numbers, got {point}")
 
     @property
     def loaded_miles(self) -> float:
@@ -447,7 +456,8 @@ def instance_to_json(instance: MarketInstance, quality_spec: dict) -> str:
 
 def instance_from_json(text: str) -> MarketInstance:
     """Parse an instance written by instance_to_json. Malformed JSON, a
-    missing key or a negative item id raise ConfigError."""
+    missing key, a negative item id or a freight file whose customer block
+    disagrees with its freight block raise ConfigError."""
     with config_errors("instance JSON"):
         return _instance_from_doc(json.loads(text))
 
@@ -475,6 +485,8 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
     items = tuple(items)
     cust = doc["customer"]
     spec = cust["quality_spec"]
+    season = dict(demand=float(doc["lambda"]), arrival_prob=float(doc["mu"]),
+                  max_bundles=int(doc["ks"]), max_bundle_size=int(doc["kb"]))
     if "scenario" in spec:
         for it in items:
             f = it.features
@@ -485,13 +497,13 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
         features = {it.id: it.features for it in items}
         quality = _scenario_quality(spec["scenario"], float(spec.get("beta", 1.0)), features)
     elif "freight" in spec:
-        from .freight import FreightCoeffs, RegionModel, quality_vector
+        from .freight import FreightCoeffs, RegionModel, freight_instance
 
         block = spec["freight"]
         coeffs = FreightCoeffs.from_dict(block["coeffs"])
         regions = RegionModel.from_dict(block["regions"])
-        # the quality vectors are in region order and priced with the
-        # customer block's pmf, so both copies of the distribution must agree
+        # the freight block is the copy that is priced, so the customer
+        # block's types, pmf and beta_p must agree with it
         if tuple(cust["types"]) != regions.names:
             raise ConfigError(f"customer types {list(cust['types'])} differ from the "
                               f"freight region names {list(regions.names)}")
@@ -501,10 +513,10 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
         ):
             raise ConfigError(f"customer pmf {pmf.tolist()} differs from the freight "
                               f"regions' arrival_pmf {regions.arrival_pmf.tolist()}")
-        by_id = {it.id: it for it in items}
-
-        def quality(option: BundleOption) -> np.ndarray:
-            return quality_vector([by_id[i] for i in option.items], coeffs, regions)
+        if float(cust["beta_p"]) != coeffs.beta_p:
+            raise ConfigError(f"customer beta_p {cust['beta_p']} differs from the freight "
+                              f"coeffs' beta_p {coeffs.beta_p}")
+        return freight_instance(items, coeffs, regions, **season)
     else:
         raise UnknownScenario(f"unrecognized quality_spec: {spec}")
     customer = CustomerModel(
@@ -513,11 +525,4 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
         price_sensitivity=float(cust["beta_p"]),
         quality=quality,
     )
-    return MarketInstance(
-        items=items,
-        customer=customer,
-        demand=float(doc["lambda"]),
-        arrival_prob=float(doc["mu"]),
-        max_bundles=int(doc["ks"]),
-        max_bundle_size=int(doc["kb"]),
-    )
+    return MarketInstance(items=items, customer=customer, **season)

@@ -621,3 +621,19 @@ def test_min_empty_miles_pins(simplex_calls, seed, pairs, n_lp):
     chosen = min_empty_miles(loads, ehat)
     assert sorted(o.items for o in chosen) == pairs
     assert len(simplex_calls) == n_lp
+
+
+@pytest.mark.parametrize("seed,pairs,n_lp", _PAIRING_PINS)
+def test_min_empty_miles_maps_positions_to_ids(simplex_calls, seed, pairs, n_lp):
+    # the pinned loads under scrambled, non-contiguous ids, in the same
+    # order: the same pairing from the same LPs, reported under the new ids
+    import dataclasses
+
+    label = (np.random.default_rng(seed).permutation(10) * 7 + 3).tolist()
+    loads = [dataclasses.replace(it, id=label[it.id])
+             for it in TestMinEmptyMiles().make_loads(seed, 10)]
+    ehat = list(np.random.default_rng(100 + seed).uniform(10, 80, 10))
+    chosen = min_empty_miles(loads, ehat)
+    assert sorted(o.items for o in chosen) == sorted(
+        tuple(label[k] for k in p) for p in pairs)
+    assert len(simplex_calls) == n_lp

@@ -182,6 +182,8 @@ class TestOutputs:
         *[pytest.param({"supply": {"rate": 0.2, "lifetime": [10, 20]}, "horizon_periods": 50,
                         "seed": 1}, flag, [flag, value], id=f"ignored{flag}")
           for flag, value in (("--pricing", "linear"), ("--seeds", "5"), ("--seed", "9"))],
+        pytest.param({"supply": {"rate": 0.2, "lifetime": [10]}, "horizon_periods": 50,
+                      "seed": 1}, "SimConfig JSON", [], id="cfg5-one-lifetime-bound"),
     ])
     def test_bad_simulate_config_is_an_error(self, tmp_path, capsys, cfg, needle, flags):
         p = tmp_path / "cfg.json"
@@ -204,6 +206,13 @@ class TestOutputs:
          "differ from the freight region names"),
         ("freight", lambda d: d["customer"].update(pmf=[0.7, 0.1, 0.1, 0.1]),
          "differs from the freight regions' arrival_pmf"),
+        # and its beta_p must be the coefficients' one, whichever copy changed
+        ("freight", lambda d: d["customer"].update(beta_p=0.05),
+         "differs from the freight coeffs' beta_p"),
+        ("freight", lambda d: d["customer"]["quality_spec"]["freight"]["coeffs"].update(
+            beta_p=0.05), "differs from the freight coeffs' beta_p"),
+        # a load's ends are two finite numbers each
+        ("freight", lambda d: d["items"][1]["freight"].update(pickup=[1.0]), "pickup"),
         # a quality vector of one value per type, whatever types the file lists
         ("scenario", lambda d: d["customer"].update(types=[1], pmf=[1.0]), "expected (1,)"),
         # scenario qualities need two numeric features per item
@@ -211,7 +220,8 @@ class TestOutputs:
         ("scenario", lambda d: d["items"][1].update(features=[0.5]), "item 1"),
         ("scenario", lambda d: d["items"][1].update(features=[0.5, "x"]), "item 1"),
     ], ids=["missing-pmf", "freight-2-types", "freight-5-types", "freight-reversed-types",
-            "freight-other-pmf", "scenario-1-type", "no-features", "one-feature",
+            "freight-other-pmf", "freight-other-beta-p", "freight-other-coeffs-beta-p",
+            "freight-one-coordinate", "scenario-1-type", "no-features", "one-feature",
             "text-feature"])
     def test_bad_bundle_instance_is_an_error(self, tmp_path, capsys, market, edit, needle):
         if market == "freight":
@@ -226,6 +236,23 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and needle in err
+
+    @pytest.mark.parametrize("command", ["bundle", "greedy", "exact"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--scenario", "A"), ("--L", "9"), ("--lambda", "3"), ("--mu", "0.2"),
+        ("--beta", "2"), ("--beta-p", "-2"), ("--kb", "3"), ("--ks", "1"),
+    ])
+    def test_synthetic_flag_with_instance_is_an_error(self, tmp_path, capsys, command, flag,
+                                                      value):
+        # the file replaces every synthetic-instance flag, which would
+        # otherwise enter the spec hash unused
+        inst = generate_synthetic(0, 3, "B", 2.0, demand=2.0)
+        p = tmp_path / "inst.json"
+        p.write_text(instance_to_json(inst, {"scenario": "B", "beta": 2.0}))
+        code, text = run(tmp_path, command, "--instance", str(p), flag, value)
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.startswith("error: ") and flag in err
 
     @pytest.mark.parametrize("flag", ["--coeffs", "--regions"])
     @pytest.mark.parametrize("doc, needle", [
@@ -293,6 +320,8 @@ class TestOutputs:
         ["figure1", "--lambda-grid=-1:5:3:log"],
         ["condition-scatter", "--samples", "-1"],
         ["condition-scatter", "--samples", "0"],
+        ["figure1", "--seeds", "3"],
+        ["condition-scatter", "--seeds", "3"],
     ], ids=" ".join)
     def test_bad_model_argument_is_an_error(self, tmp_path, capsys, argv):
         code, _ = run(tmp_path, *argv)

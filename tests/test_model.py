@@ -341,6 +341,21 @@ def test_wrong_length_quality_is_an_error(value):
         cust.quality_matrix([BundleOption((0,))])
 
 
+@pytest.mark.parametrize("pickup, dropoff", [
+    ((1.0,), (2.0, 3.0)),
+    ((1.0, 2.0), (2.0, 3.0, 4.0)),
+    ((np.nan, 2.0), (2.0, 3.0)),
+    ((1.0, 2.0), (np.inf, 3.0)),
+    ((1.0, "2"), (2.0, 3.0)),
+    (1.0, (2.0, 3.0)),
+], ids=["one-coordinate", "three-coordinates", "nan", "inf", "text", "scalar"])
+def test_freight_ends_are_two_finite_numbers(pickup, dropoff):
+    from uip.model import FreightItemData
+
+    with pytest.raises(DomainError):
+        FreightItemData(pickup, dropoff, 10)
+
+
 def test_customer_model_validation():
     with pytest.raises(ValueError):
         CustomerModel(types=(0,), arrival_pmf=[0.7], price_sensitivity=-1.0,
