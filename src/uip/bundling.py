@@ -23,7 +23,6 @@ from .bounds import (
     dfa,
     fluid,
     monotone_columns,
-    singleton_upper_profiles,
     static,
 )
 from .errors import ConfigError, DimensionMismatch, DomainError, MissingFreightData
@@ -195,6 +194,19 @@ class _SetEvaluator:
         return (self.sign * values, avails) if availability else self.sign * values
 
 
+def _pool_evaluator(instance: MarketInstance) -> _SetEvaluator:
+    """The _SetEvaluator of the market's whole option pool: options,
+    quality matrix, salvages, r, tau and monotone flags. It is built on
+    first use and stored in the instance's __dict__, as
+    functools.cached_property stores, so it is freed with the instance.
+    Markets are frozen, so it cannot go stale; callers only read it."""
+    ev = instance.__dict__.get("_pool_evaluator")
+    if ev is None:
+        ev = _SetEvaluator(instance, enumerate_options(instance))
+        instance.__dict__["_pool_evaluator"] = ev
+    return ev
+
+
 # Scores and DFA values this close (relative) count as tied: permutations of
 # one bundle differ only by rounding, and a tie goes to the lowest pool index
 # (column selection) or the fewest bundles, then smallest encoding (ranking).
@@ -221,6 +233,17 @@ def column_generation(
     DFA improvement as master reward. The master's incidence matrix, one =
     row per item and the bundle-count row, is allocated once and each round
     writes the accepted column into it.
+
+    The master is solved in the first round, and after that only when the
+    column accepted in the round before has a positive exact reduced cost
+    (exact_score) at the duals it was priced with. Otherwise that column
+    cannot enter: the simplex enters only reduced costs above 1e-10, so a
+    re-solve, warm from the same basis, would make no pivot and recompute
+    the same primal and duals from the same basis matrix. The previous
+    solution then stands, its primal extended by a 0 for the new column,
+    and the master objective is rewards @ x on both paths, so the trace is
+    the same bits as with a solve in every round.
+
     Finally enumerate_top_solutions ranks the top n_eval partitions of the
     master's columns by their rewards, and their DFA values decide the
     returned set (values within 1e-12 relative of the best tie; ties prefer
@@ -236,8 +259,8 @@ def column_generation(
     the value computed first. The returned BoundResult carries the value
     and availabilities of that evaluation, the same bits dfa() gives.
     """
-    pool = enumerate_options(instance)
-    ev = _SetEvaluator(instance, pool)
+    ev = _pool_evaluator(instance)
+    pool = ev.options
     item_ids = sorted(it.id for it in instance.items)
     trace = ColumnGenTrace(pool_size=len(pool))
 
@@ -278,13 +301,16 @@ def column_generation(
     rhs = np.append(np.ones(m), instance.max_bundles)
     columns = [j for j in singleton_idx]
     rewards = [0.0] * len(columns)
-    warm = None
+    sol, resolve = None, True
 
     while len(columns) < m + config.n_gen:
-        lp = LinearProgram(np.asarray(rewards), master[:, : len(columns)], rels, rhs)
-        sol = simplex_solve(lp, warm_basis=warm)
-        warm = sol.basis
-        master_obj = sol.objective
+        if resolve:
+            lp = LinearProgram(np.asarray(rewards), master[:, : len(columns)], rels, rhs)
+            sol = simplex_solve(lp, warm_basis=None if sol is None else sol.basis)
+            x = sol.primal
+        else:
+            x = np.append(x, 0.0)  # the last column stays nonbasic
+        master_obj = float(np.asarray(rewards) @ x)  # sol.objective's expression
 
         if not np.any(cand_mask):
             break
@@ -308,6 +334,7 @@ def column_generation(
         j_star = int(bundle_idx[j_rel])
         improvement = improvements[j_rel]
         exact_score = improvement - float(dual_cost[j_rel])
+        resolve = exact_score > 0
         trace.iterations.append(
             ColumnGenIteration(
                 option=pool[j_star],
@@ -381,11 +408,12 @@ def _undominated(pool: Sequence[BundleOption], rewards: np.ndarray) -> list[int]
 def best_upper_bound_partition(instance: MarketInstance) -> tuple[OptionSet, float]:
     """Partition maximizing the backward upper bound; its value Z* is the
     denominator of optimality gaps for any candidate set. Dominated columns
-    (_undominated) are dropped before branch and bound."""
-    pool = enumerate_options(instance)
-    r, _ = singleton_upper_profiles(instance, pool)
-    sign = canonical_sign(instance.customer.price_sensitivity)
-    rewards = sign * r
+    (_undominated) are dropped before branch and bound. The options and
+    their individual upper bounds r are read from the market's pool record
+    (_pool_evaluator), which column_generation shares."""
+    ev = _pool_evaluator(instance)
+    pool, sign = ev.options, ev.sign
+    rewards = sign * ev.r
     keep = _undominated(pool, rewards)
     item_ids = sorted(it.id for it in instance.items)
     milp = SetPartitionMilp(

@@ -411,7 +411,7 @@ class _Loads:
     offset -(beta_p pbar + kappa) of the expiration price pbar). The arrays
     double in length until a batch fits."""
 
-    _FIELDS = ("pickup", "dropoff", "approach", "dist", "expiry", "lifetime", "org", "dst",
+    _FIELDS = ("pickup", "dropoff", "approach", "dist", "expiry", "org", "dst",
                "q", "kappa", "offset", "alive")
 
     def __init__(self, regions: RegionModel, coeffs: FreightCoeffs, penalty_per_mile: float,
@@ -427,7 +427,6 @@ class _Loads:
         self.approach = np.empty((capacity, r))  # centroid -> pickup miles
         self.dist = np.empty(capacity)
         self.expiry = np.empty(capacity, dtype=np.int64)
-        self.lifetime = np.empty(capacity, dtype=np.int64)
         self.org = np.empty(capacity, dtype=np.int64)  # region nearest the pickup
         self.dst = np.empty(capacity, dtype=np.int64)  # region nearest the dropoff
         self.q = np.empty((capacity, r))  # singleton quality
@@ -435,9 +434,9 @@ class _Loads:
         self.offset = np.empty(capacity)  # -(beta_p pbar + kappa)
         self.alive = np.zeros(capacity, dtype=bool)  # neither booked nor expired
 
-    def add(self, pickup, dropoff, expiry, lifetime) -> np.ndarray:
+    def add(self, pickup, dropoff, expiry) -> np.ndarray:
         """Append the loads pickup[k] -> dropoff[k] (arrays (n, 2)) with their
-        expiry periods and lifetimes; returns their uids."""
+        expiry periods; returns their uids."""
         pickup, dropoff = np.asarray(pickup, dtype=float), np.asarray(dropoff, dtype=float)
         n = len(pickup)
         while self.size + n > len(self.dist):
@@ -446,10 +445,10 @@ class _Loads:
                 setattr(self, name, np.concatenate([arr, np.zeros_like(arr)]))
         new = slice(self.size, self.size + n)
         self.size += n
-        c = self.regions.centroids
-        approach = np.hypot(c[:, 0] - pickup[:, :1], c[:, 1] - pickup[:, 1:])
-        org = approach.argmin(axis=1)
-        dst = np.hypot(c[:, 0] - dropoff[:, :1], c[:, 1] - dropoff[:, 1:]).argmin(axis=1)
+        c, ends = self.regions.centroids, np.concatenate([pickup, dropoff])
+        miles = np.hypot(c[:, 0] - ends[:, :1], c[:, 1] - ends[:, 1:])  # (2n, regions)
+        nearest = miles.argmin(axis=1)
+        approach, org, dst = miles[:n], nearest[:n], nearest[n:]
         dist = np.array([math.hypot(dx, dy) for dx, dy in (dropoff - pickup).tolist()])  # as _dist
         q = _intercept(self.coeffs, dist[:, None], approach, False, org[:, None], dst[:, None])
         kappa = _lse_kernel(q, *self.lse_weights)
@@ -457,7 +456,7 @@ class _Loads:
         pbar = _closed_form_price(q, self.penalty_per_mile * dist, beta_p, pmf)
         self.pickup[new], self.dropoff[new], self.approach[new] = pickup, dropoff, approach
         self.dist[new], self.org[new], self.dst[new] = dist, org, dst
-        self.expiry[new], self.lifetime[new] = expiry, lifetime
+        self.expiry[new] = expiry
         self.q[new], self.kappa[new] = q, kappa
         self.offset[new] = -(beta_p * pbar + kappa)
         self.alive[new] = True
@@ -603,6 +602,7 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
     arrival_cdf = _cdf(pmf)
     topk_cdf = _cdf(truncated_geometric_pmf() if config.topk_pmf is None else config.topk_pmf)
     lo, hi = sup.lifetime
+    centroids, scatter = regions.centroids.tolist(), sup.scatter
     beta_p = coeffs.beta_p
     mu = config.arrival_prob
     with np.errstate(divide="ignore"):  # a load's last period: log 0 = -inf
@@ -640,18 +640,17 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
         # (a) supply
         n_new = rng.poisson(sup.rate)
         if n_new:
-            orgs, dsts, scatter, life = [], [], [], []
+            pickups, dropoffs, expiry = [], [], []
             for _ in range(n_new):
                 org = bisect_right(pickup_cdf, rng.random())
-                orgs.append(org)
-                dsts.append(bisect_right(dropoff_cdfs[org], rng.random()))
-                scatter.append(rng.standard_normal(4))  # pickup x, y then dropoff x, y
-                life.append(int(rng.integers(lo, hi + 1)))
-            scatter = sup.scatter * np.array(scatter)
-            life = np.array(life)
-            new = loads.add(regions.centroids[orgs] + scatter[:, :2],
-                            regions.centroids[dsts] + scatter[:, 2:], now + life, life)
-            for u, t in zip(new.tolist(), (now + life).tolist()):
+                ox, oy = centroids[org]
+                dx, dy = centroids[bisect_right(dropoff_cdfs[org], rng.random())]
+                px, py, qx, qy = rng.standard_normal(4).tolist()
+                pickups.append((ox + scatter * px, oy + scatter * py))
+                dropoffs.append((dx + scatter * qx, dy + scatter * qy))
+                expiry.append(now + int(rng.integers(lo, hi + 1)))
+            new = loads.add(pickups, dropoffs, expiry)
+            for u, t in zip(new.tolist(), expiry):
                 expiring[t].append(u)
             if not personalized:
                 menu.append(new)

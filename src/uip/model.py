@@ -155,7 +155,7 @@ def sub_instance(instance: "MarketInstance", item_ids) -> "MarketInstance":
     )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CustomerModel:
     """Customer types, their arrival distribution, and perceived quality.
 
@@ -165,6 +165,9 @@ class CustomerModel:
     elsewhere, the caller is responsible for the regularity of the pricing
     map (well-defined, non-decreasing optimal price in the marginal value);
     it cannot be verified symbolically here.
+
+    The model is frozen, and arrival_pmf is a read-only copy of the array
+    passed in, so what is computed from a model stays valid for it.
     """
 
     types: tuple
@@ -173,8 +176,10 @@ class CustomerModel:
     quality: Callable[[BundleOption], Sequence[float]]
 
     def __post_init__(self):
-        self.types = tuple(self.types)
-        self.arrival_pmf = np.asarray(self.arrival_pmf, dtype=float)
+        pmf = np.array(self.arrival_pmf, dtype=float)
+        pmf.flags.writeable = False
+        object.__setattr__(self, "types", tuple(self.types))
+        object.__setattr__(self, "arrival_pmf", pmf)
         if self.arrival_pmf.shape != (len(self.types),):
             raise DimensionMismatch("arrival_pmf length must match types")
         if np.any(self.arrival_pmf < 0) or abs(self.arrival_pmf.sum() - 1.0) > 1e-12:
@@ -202,9 +207,13 @@ class CustomerModel:
         return q
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MarketInstance:
-    """A market: unique items, a customer model, and season parameters."""
+    """A market: unique items, a customer model, and season parameters.
+
+    The market is frozen (its customer model too), so a record computed
+    from it once, such as the bundle task's option pool, stays valid for
+    it; a different market is a new instance (see sub_instance)."""
 
     items: tuple[Item, ...]
     customer: CustomerModel
@@ -214,7 +223,7 @@ class MarketInstance:
     max_bundle_size: int
 
     def __post_init__(self):
-        self.items = tuple(self.items)
+        object.__setattr__(self, "items", tuple(self.items))
         ids = [it.id for it in self.items]
         if len(set(ids)) != len(ids):
             raise ConfigError("item ids must be unique")
@@ -468,11 +477,14 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
         freight = None
         if "freight" in d:
             f = d["freight"]
-            freight = FreightItemData(
-                pickup=tuple(f["pickup"]),
-                dropoff=tuple(f["dropoff"]),
-                expiration=int(f["expiration"]),
-            )
+            try:
+                freight = FreightItemData(
+                    pickup=tuple(f["pickup"]),
+                    dropoff=tuple(f["dropoff"]),
+                    expiration=int(f["expiration"]),
+                )
+            except DomainError as exc:
+                raise ConfigError(f"item {d['id']}: {exc}") from exc
         item = Item(
             id=int(d["id"]),
             salvage=float(d.get("salvage", 0.0)),

@@ -1,5 +1,8 @@
 
+import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from uip.bundling import (
 )
 from uip.errors import CapExceeded, DomainError, MissingFreightData, ValidityWarning
 from uip.model import (
+    BundleOption,
     CustomerModel,
     FreightItemData,
     Item,
@@ -28,7 +32,7 @@ from uip.model import (
     singletons,
     sub_instance,
 )
-from uip.optim import SetPartitionMilp, bnb_solve
+from uip.optim import LpSolution, SetPartitionMilp, _lp_residuals, bnb_solve, simplex_solve
 from uip.pricing import canonical_sign
 
 
@@ -515,19 +519,21 @@ def test_bundled_fraction_shrinks_with_horizon():
 # K_b=K_s=3), pinned bit for bit: a rewrite of the LP layer that keeps every
 # pivot and basis leaves them unchanged. `trace` is the first 16 hex digits
 # of the SHA-256 of the JSON list [[column items, master objective hex], ...].
+# `n_lp` counts the master solves (the first round and each round after a
+# column with a positive exact reduced cost) plus Z*'s branch-and-bound LP.
 _CG_PINS = [
     (0, "bb391a69843ac9e5", "0x1.a32cf900444eep+1", [(0, 2, 4), (1,), (3,), (5, 6, 7)],
-     [(0,), (1,), (2,), (3,), (4,), (5, 6, 7)], "0x1.0baf5ecf470eep+4", 51),
+     [(0,), (1,), (2,), (3,), (4,), (5, 6, 7)], "0x1.0baf5ecf470eep+4", 11),
     (1, "746784f4b1430d5c", "0x1.f1e5460163c28p+0", [(0, 3), (1, 4, 5), (2,), (6,), (7,)],
-     [(0, 3), (1,), (2,), (4,), (5,), (6,), (7,)], "0x1.142f001e88dfbp+4", 51),
+     [(0, 3), (1,), (2,), (4,), (5,), (6,), (7,)], "0x1.142f001e88dfbp+4", 10),
     (2, "d87f309e1f72510c", "0x1.dfb99e1d5c6f0p-1", [(0,), (1, 2, 5), (3,), (4,), (6,), (7,)],
-     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.d08f3ab1c4aaap+3", 51),
+     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.d08f3ab1c4aaap+3", 6),
     (3, "eacca8c76b5ec85d", "0x1.30665672e3c58p+0", [(0,), (1, 7), (2, 4, 6), (3,), (5,)],
-     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1066e65e312d0p+4", 51),
+     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1066e65e312d0p+4", 8),
     (4, "04517132e17da33c", "0x1.854b265b87312p+2", [(0, 1, 7), (2,), (3, 4, 5), (6,)],
-     [(0, 1, 7), (2,), (3, 4, 5), (6,)], "0x1.46275ef45fb2cp+4", 51),
+     [(0, 1, 7), (2,), (3, 4, 5), (6,)], "0x1.46275ef45fb2cp+4", 12),
     (5, "e0677867cccf1029", "0x1.b7d7bdca8bbe4p+0", [(0, 1), (2,), (3,), (4,), (5, 6, 7)],
-     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1eebbdfcb6fa8p+4", 51),
+     [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)], "0x1.1eebbdfcb6fa8p+4", 14),
 ]
 
 # Work per column_generation on the _CG_PINS inputs: _dfa_forward calls (one
@@ -612,6 +618,93 @@ def test_column_generation_recursion_counts(monkeypatch, seed):
     column_generation(inst, ColumnGenConfig())
     assert (counts["forward"], counts["w_elems"]) == _CG_RECURSIONS[seed]
     assert counts["base_lp"] == 0
+
+
+def _cg_pin_instance(seed):
+    return generate_synthetic(seed, 8, "B" if seed % 2 else "C", 2.0, demand=8.0,
+                              arrival_prob=0.1, max_bundle_size=3, max_bundles=3)
+
+
+@pytest.mark.parametrize("seed", [pin[0] for pin in _CG_PINS])
+def test_carried_master_rounds_equal_resolved_rounds(seed):
+    # replay the master with a warm re-solve in every round: round k holds
+    # the singletons (reward 0) and the first k accepted columns (reward
+    # their improvement); each round's objective is the traced one, bit for
+    # bit, and a round after a column with exact_score <= 0 makes no pivot,
+    # so the solution column_generation carries over is the re-solved one
+    inst = _cg_pin_instance(seed)
+    _, _, trace = column_generation(inst, ColumnGenConfig())
+    item_ids = sorted(it.id for it in inst.items)
+    options = [BundleOption((l,)) for l in item_ids]
+    rewards = [0.0] * len(options)
+    prev, carried = None, 0
+    for k, it in enumerate(trace.iterations):
+        lp = SetPartitionMilp(options=options, rewards=rewards, item_ids=item_ids,
+                              max_bundles=inst.max_bundles).base_lp()
+        sol = simplex_solve(lp, warm_basis=None if prev is None else prev.basis)
+        assert sol.objective.hex() == it.master_objective.hex()
+        if k > 0 and trace.iterations[k - 1].exact_score <= 0:
+            carried += 1
+            x = np.append(prev.primal, 0.0)
+            assert np.array_equal(sol.primal, x) and np.array_equal(sol.duals, prev.duals)
+            assert sol.basis == prev.basis
+            kept = LpSolution(status="optimal", primal=x, duals=prev.duals,
+                              objective=float(lp.objective @ x),
+                              reduced_costs=lp.objective - lp.A.T @ prev.duals)
+            assert max(_lp_residuals(lp, kept).values()) <= 1e-7
+        prev = sol
+        options.append(it.option)
+        rewards.append(it.improvement)
+    assert carried > 0
+
+
+class TestPoolRecord:
+    """column_generation and best_upper_bound_partition share one option
+    pool per market, built on first use and stored on the instance."""
+
+    def test_z_star_is_the_same_after_column_generation(self, monkeypatch):
+        inst = _cg_pin_instance(1)
+        want_set, want = best_upper_bound_partition(inst)
+        column_generation(inst, ColumnGenConfig())
+        for module, name in ((uip.bundling, "enumerate_options"),
+                             (CustomerModel, "quality_matrix")):
+            def fail(*args, name=name):
+                raise AssertionError(f"{name} called on a market with a pool record")
+            monkeypatch.setattr(module, name, fail)
+        got_set, got = best_upper_bound_partition(inst)
+        assert got_set == want_set and got.hex() == want.hex()
+        monkeypatch.undo()
+        fresh_set, fresh = best_upper_bound_partition(_cg_pin_instance(1))
+        assert fresh_set == want_set and fresh.hex() == want.hex()
+
+    def test_second_column_generation_call_repeats_the_first(self):
+        inst = _cg_pin_instance(2)
+        first = column_generation(inst, ColumnGenConfig())
+        second = column_generation(inst, ColumnGenConfig())
+        assert second[0] == first[0]
+        assert second[1].value.hex() == first[1].value.hex()
+        assert second[2].to_json_dict() == first[2].to_json_dict()
+
+    def test_markets_are_frozen(self):
+        pmf = np.array([0.5, 0.5])
+        inst = generate_synthetic(0, 3, "B", 2.0)
+        cust = dataclasses.replace(inst.customer, arrival_pmf=pmf)
+        pmf[0] = 0.9  # the model holds a copy
+        assert cust.arrival_pmf.tolist() == [0.5, 0.5]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.demand = 4.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.customer.price_sensitivity = -2.0
+        with pytest.raises(ValueError):
+            inst.customer.arrival_pmf[0] = 0.9
+
+    def test_record_is_freed_with_its_instance(self):
+        inst = _cg_pin_instance(0)
+        best_upper_bound_partition(inst)
+        refs = weakref.ref(inst), weakref.ref(uip.bundling._pool_evaluator(inst))
+        del inst
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 @pytest.mark.parametrize("seed,pairs,n_lp", _PAIRING_PINS)

@@ -211,8 +211,9 @@ class TestOutputs:
          "differs from the freight coeffs' beta_p"),
         ("freight", lambda d: d["customer"]["quality_spec"]["freight"]["coeffs"].update(
             beta_p=0.05), "differs from the freight coeffs' beta_p"),
-        # a load's ends are two finite numbers each
-        ("freight", lambda d: d["items"][1]["freight"].update(pickup=[1.0]), "pickup"),
+        # a load's ends are two finite numbers each, and the message names the load
+        ("freight", lambda d: d["items"][1]["freight"].update(pickup=[1.0]),
+         "instance JSON: item 1: pickup must be two finite numbers"),
         # a quality vector of one value per type, whatever types the file lists
         ("scenario", lambda d: d["customer"].update(types=[1], pmf=[1.0]), "expected (1,)"),
         # scenario qualities need two numeric features per item

@@ -214,7 +214,7 @@ class TestSimulatorArrays:
         rng = np.random.default_rng(4)
         loads = _Loads(regions, c, 0.0)
         for _ in range(70):  # past the initial capacity, so the table grows
-            loads.add(rng.uniform(-20, 200, (1, 2)), rng.uniform(-20, 200, (1, 2)), 10, 10)
+            loads.add(rng.uniform(-20, 200, (1, 2)), rng.uniform(-20, 200, (1, 2)), 10)
         items = [Item(u, freight=FreightItemData(tuple(loads.pickup[u]),
                                                  tuple(loads.dropoff[u]), 10))
                  for u in range(loads.size)]
@@ -240,7 +240,7 @@ class TestSimulatorArrays:
         c = zeroish_coeffs(beta_p=1.0, n=4)
         loads = _Loads(regions, c, 0.0)
         for _ in range(3):
-            loads.add(np.zeros((1, 2)), np.zeros((1, 2)), 10, 10)
+            loads.add(np.zeros((1, 2)), np.zeros((1, 2)), 10)
         uids = np.arange(3)
         # every key equal: the singletons, in order
         assert _options(*_greedy_pairs(loads, uids, np.zeros(3), None)) == [(0,), (1,), (2,)]
