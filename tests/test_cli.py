@@ -61,6 +61,38 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["exact", "--L", "6", "--lambda", "5"], "d3c95446216be7a1"),
+        (["exact", "--L", "6", "--lambda", "5", "--format", "json"], "b50f074ed51b9d94"),
+        (["bounds-table", "--L", "4", "--lambda", "6", "--seeds", "3", "--format", "json"],
+         "d8ea5c78456051a9"),
+        (["figure1", "--lambda-grid", "0.5:20:6:lin", "--format", "json"], "37438a3f56733add"),
+        (["condition-scatter", "--samples", "6", "--format", "json"], "c313509948b6e7ff"),
+    ], ids=" ".join)
+    def test_table_output_bytes_pinned(self, tmp_path, argv, digest):
+        # sha256 prefixes of the CSV and JSON branches of the table commands
+        code, text = run(tmp_path, *argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "82705d85a410db8f"),
+        (["--format", "json"], "ba5688fc5426d4be"),
+    ], ids=["csv", "json"])
+    def test_simulate_config_output_pinned(self, tmp_path, flags, digest):
+        # the CSV digest leaves out the provenance line, whose spec hash
+        # includes the (temporary) config path
+        cfg = {"supply": {"rate": 0.3, "lifetime": [5, 12]},
+               "horizon_periods": 80, "seed": 4, "replications": 2}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, text = run(tmp_path, "simulate", "--config", str(p), *flags)
+        assert code == 0
+        if not flags:
+            provenance, text = text.split("\n", 1)
+            assert provenance.startswith("# uip ") and " seed=4 spec=" in provenance
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("command, options, digest", [
         ("bundle", [[2, 0, 5], [3, 4, 1]], "975dfe5dc4639e20"),
         ("greedy", [[2, 0, 5], [3, 4, 1]], "ce49b97670e5e25d"),
