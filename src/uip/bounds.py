@@ -75,10 +75,6 @@ class PriceTrajectory:
     homogeneous: bool
     monotone_ok: bool
 
-    @property
-    def horizon(self) -> int:
-        return self.prices.shape[0]
-
 
 def monotone_columns(prices: np.ndarray, salvages: np.ndarray, beta_p: float) -> np.ndarray:
     """Canonical monotonicity per option: column i of a (T, N) trajectory

@@ -48,8 +48,14 @@ def _spec_hash(args: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _provenance(args: dict, seed) -> str:
-    return f"# uip {__version__} seed={seed} spec={_spec_hash(args)}"
+def _provenance(args, seed=None) -> dict:
+    """Tool version, seed (args.seed unless given) and spec hash of a run."""
+    return {"version": __version__, "seed": args.seed if seed is None else seed,
+            "spec": _spec_hash(vars(args))}
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(path, text: str):
@@ -60,11 +66,19 @@ def _emit(path, text: str):
             fh.write(text)
 
 
-def _csv(provenance: str, header: list[str], rows: list[list]) -> str:
-    lines = [provenance, ",".join(header)]
+def _write_table(args, header: list[str], rows: list[list], doc=None, seed=None):
+    """Write rows under header as CSV, after a provenance comment with the
+    seed (args.seed unless given); with --format json, write doc instead,
+    by default one object per row. Floats are written as repr, so the CSV
+    round-trips them."""
+    if args.format == "json":
+        _emit(args.out, _json([dict(zip(header, r)) for r in rows] if doc is None else doc))
+        return
+    lines = ["# uip {version} seed={seed} spec={spec}".format(**_provenance(args, seed)),
+             ",".join(header)]
     for row in rows:
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+    _emit(args.out, "\n".join(lines) + "\n")
 
 
 def _at_least_one(flag: str, value: int) -> int:
@@ -142,20 +156,10 @@ def cmd_exact(args) -> int:
     _reject_ignored(args, {"seeds": "--seeds", "kb": "--kb", "ks": "--ks"},
                     "exact prices the singletons of one instance")
     inst = _load_instance(args)
-    sol = exact_dp(inst, singletons(inst))
-    payload = {
-        "value": sol.value(),
-        "horizon": inst.horizon,
-        "items": inst.n_items,
-        "provenance": {"version": __version__, "seed": args.seed,
-                       "spec": _spec_hash(vars(args))},
-    }
-    if args.format == "json":
-        _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, _csv(_provenance(vars(args), args.seed),
-                             ["value", "horizon", "items"],
-                             [[sol.value(), inst.horizon, inst.n_items]]))
+    header = ["value", "horizon", "items"]
+    row = [exact_dp(inst, singletons(inst)).value(), inst.horizon, inst.n_items]
+    _write_table(args, header, [row],
+                 doc={**dict(zip(header, row)), "provenance": _provenance(args)})
     return 0
 
 
@@ -188,12 +192,8 @@ def cmd_bounds_table(args) -> int:
         [kind, args.L, lam, float(np.mean([r[kind] for r in rows]))]
         for kind in kinds
     ]
-    if args.format == "json":
-        payload = {k: dict(L=args.L, demand=lam, mean_rel_err=v) for k, _, _, v in table}
-        _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, _csv(_provenance(vars(args), args.seed),
-                             ["kind", "L", "lambda", "mean_rel_err"], table))
+    _write_table(args, ["kind", "L", "lambda", "mean_rel_err"], table,
+                 doc={k: dict(L=args.L, demand=lam, mean_rel_err=v) for k, _, _, v in table})
     return 0
 
 
@@ -257,12 +257,7 @@ def cmd_figure1(args) -> int:
     rows = [
         [float(lam), v0, v1, v2] for lam, (v0, v1, v2) in zip(grid, vals)
     ]
-    if args.format == "json":
-        payload = [dict(zip(["lambda", "v_s0", "v_s1", "v_s2"], r)) for r in rows]
-        _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, _csv(_provenance(vars(args), args.seed),
-                             ["lambda", "v_s0", "v_s1", "v_s2"], rows))
+    _write_table(args, ["lambda", "v_s0", "v_s1", "v_s2"], rows)
     return 0
 
 
@@ -279,10 +274,9 @@ def cmd_bundle(args) -> int:
         "z_star": z_star,
         "optimality_gap": optimality_gap(z_star, res.value, inst.customer.price_sensitivity),
         "trace": trace.to_json_dict(),
-        "provenance": {"version": __version__, "seed": args.seed,
-                       "spec": _spec_hash(vars(args))},
+        "provenance": _provenance(args),
     }
-    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, _json(payload))
     return 0
 
 
@@ -297,10 +291,9 @@ def cmd_greedy(args) -> int:
         "options": [list(o.items) for o in chosen],
         "dfa": res.value,
         "value_kind": args.value_kind,
-        "provenance": {"version": __version__, "seed": args.seed,
-                       "spec": _spec_hash(vars(args))},
+        "provenance": _provenance(args),
     }
-    _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args.out, _json(payload))
     return 0
 
 
@@ -324,17 +317,13 @@ def cmd_simulate(args) -> int:
         with open(args.regions) as fh, config_errors(f"regions file {args.regions}"):
             regions = RegionModel.from_dict(json.load(fh))
     metrics = simulate(cfg, coeffs, regions)
-    if args.format == "json":
-        _emit(args.out, metrics.to_json() + "\n")
-        return 0
     keys = list(metrics.samples)
     rows = []
     for r in range(len(metrics.samples[keys[0]])):
         rows.append([r] + [float(metrics.samples[k][r]) for k in keys])
     rows.append(["mean"] + [metrics.mean(k) for k in keys])
     rows.append(["half_width"] + [metrics.half_width(k) for k in keys])
-    _emit(args.out, _csv(_provenance(vars(args), cfg.seed),
-                         ["replication"] + keys, rows))
+    _write_table(args, ["replication"] + keys, rows, doc=metrics.to_json_dict(), seed=cfg.seed)
     return 0
 
 
@@ -372,13 +361,8 @@ def cmd_condition_scatter(args) -> int:
         return [lam, n_bundle, delta_kappa, threshold, v - v0, int(satisfied), int(v > v0)]
 
     rows = list(map(one, draws))
-    header = ["lambda", "bundle_size", "delta_kappa", "threshold",
-              "improvement", "condition_satisfied", "improvement_positive"]
-    if args.format == "json":
-        _emit(args.out, json.dumps([dict(zip(header, r)) for r in rows],
-                                   indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args.out, _csv(_provenance(vars(args), args.seed), header, rows))
+    _write_table(args, ["lambda", "bundle_size", "delta_kappa", "threshold", "improvement",
+                        "condition_satisfied", "improvement_positive"], rows)
     return 0
 
 

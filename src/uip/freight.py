@@ -17,7 +17,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +29,45 @@ from .model import CustomerModel, Item, MarketInstance
 from .numerics import _lse_kernel, _lse_weights, lambert_w_exp
 
 
+class _Record:
+    """Base of the frozen config records, which read and write JSON objects
+    with one key per dataclass field, in field order.
+
+    to_dict writes arrays and tuples as lists and nested records as dicts.
+    from_dict passes every key to the constructor: a field without a default
+    must be present, an absent optional field keeps its default, and a key
+    that names no field is a ConfigError. Each record's __post_init__
+    normalises the field types, so a record built in code and one read from
+    JSON hold the same types."""
+
+    def _set(self, **values):
+        """Store normalised field values on the frozen record."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def to_dict(self) -> dict:
+        def plain(v):
+            if isinstance(v, _Record):
+                return v.to_dict()
+            if isinstance(v, np.ndarray):
+                return v.tolist()
+            return list(v) if isinstance(v, tuple) else v
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        # d[name] of a missing required field raises KeyError(name) before
+        # any unknown key is reported
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
+        unknown = set(d).difference(kwargs)
+        if unknown:
+            raise ConfigError(f"unknown key {min(unknown)!r}")
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class RegionModel:
+class RegionModel(_Record):
     """Arrival regions: centroids, carrier-arrival distribution, and the
     average historical deadhead miles out of each region."""
 
@@ -40,9 +77,10 @@ class RegionModel:
     ehat: np.ndarray  # (R,)
 
     def __post_init__(self):
-        object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=float))
-        object.__setattr__(self, "arrival_pmf", np.asarray(self.arrival_pmf, dtype=float))
-        object.__setattr__(self, "ehat", np.asarray(self.ehat, dtype=float))
+        self._set(names=tuple(self.names),
+                  centroids=np.asarray(self.centroids, dtype=float),
+                  arrival_pmf=np.asarray(self.arrival_pmf, dtype=float),
+                  ehat=np.asarray(self.ehat, dtype=float))
         r = len(self.names)
         if self.centroids.shape != (r, 2) or self.arrival_pmf.shape != (r,) or self.ehat.shape != (r,):
             raise ConfigError("region arrays must all have one row per region")
@@ -61,26 +99,9 @@ class RegionModel:
         d = np.hypot(self.centroids[:, 0] - point[0], self.centroids[:, 1] - point[1])
         return int(np.argmin(d))
 
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "centroids": self.centroids.tolist(),
-            "arrival_pmf": self.arrival_pmf.tolist(),
-            "ehat": self.ehat.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegionModel":
-        return cls(
-            names=tuple(d["names"]),
-            centroids=np.asarray(d["centroids"], dtype=float),
-            arrival_pmf=np.asarray(d["arrival_pmf"], dtype=float),
-            ehat=np.asarray(d["ehat"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
-class FreightCoeffs:
+class FreightCoeffs(_Record):
     """Calibrated carrier-utility coefficients (beta_p > 0: getting paid)."""
 
     beta0: float
@@ -92,36 +113,15 @@ class FreightCoeffs:
     beta_dst: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_org", np.asarray(self.beta_org, dtype=float))
-        object.__setattr__(self, "beta_dst", np.asarray(self.beta_dst, dtype=float))
-        scalars = [self.beta0, self.beta_d, self.beta_e, self.beta_b, self.beta_p]
-        if not all(np.isfinite(a).all() for a in (scalars, self.beta_org, self.beta_dst)):
+        scalars = ("beta0", "beta_d", "beta_e", "beta_b", "beta_p")
+        self._set(**{k: float(getattr(self, k)) for k in scalars},
+                  beta_org=np.asarray(self.beta_org, dtype=float),
+                  beta_dst=np.asarray(self.beta_dst, dtype=float))
+        values = [getattr(self, k) for k in scalars]
+        if not all(np.isfinite(a).all() for a in (values, self.beta_org, self.beta_dst)):
             raise ConfigError("freight coefficients must be finite")
         if self.beta_p == 0:
             raise ConfigError("beta_p must be nonzero")
-
-    def to_dict(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "beta_d": self.beta_d,
-            "beta_e": self.beta_e,
-            "beta_b": self.beta_b,
-            "beta_p": self.beta_p,
-            "beta_org": self.beta_org.tolist(),
-            "beta_dst": self.beta_dst.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FreightCoeffs":
-        return cls(
-            beta0=float(d["beta0"]),
-            beta_d=float(d["beta_d"]),
-            beta_e=float(d["beta_e"]),
-            beta_b=float(d["beta_b"]),
-            beta_p=float(d["beta_p"]),
-            beta_org=np.asarray(d["beta_org"], dtype=float),
-            beta_dst=np.asarray(d["beta_dst"], dtype=float),
-        )
 
 
 def _dist(a, b) -> float:
@@ -243,7 +243,7 @@ def truncated_geometric_pmf(mean: float = 5.0, kmax: int = 15) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SupplyModel:
+class SupplyModel(_Record):
     """Per-period Poisson load arrivals with synthetic geometry: endpoints
     are region centroids plus Gaussian scatter. Loads are inter-region by
     default (dropoff region resampled away from the pickup region), like
@@ -257,19 +257,24 @@ class SupplyModel:
     inter_region: bool = True
 
     def __post_init__(self):
+        pmfs = ("pickup_pmf", "dropoff_pmf")
+        self._set(rate=float(self.rate), scatter=float(self.scatter),
+                  lifetime=(int(self.lifetime[0]), int(self.lifetime[1])),
+                  **{k: np.asarray(getattr(self, k), dtype=float) for k in pmfs
+                     if getattr(self, k) is not None})
         if self.rate < 0:
             raise ConfigError("rate must be nonnegative")
         lo, hi = self.lifetime
         if lo < 1 or hi < lo:
             raise ConfigError("lifetime bounds must satisfy 1 <= lo <= hi")
-        for key in ("pickup_pmf", "dropoff_pmf"):
+        for key in pmfs:
             pmf = getattr(self, key)
-            if pmf is not None and (np.any(np.asarray(pmf) < 0) or not np.sum(pmf) > 0):
+            if pmf is not None and (np.any(pmf < 0) or not pmf.sum() > 0):
                 raise ConfigError(f"{key} needs nonnegative entries and positive mass")
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     supply: SupplyModel
     horizon_periods: int
     seed: int
@@ -303,10 +308,9 @@ class SimConfig:
         if self.alpha <= 0 or self.salvage_multiplier < 0:
             raise ConfigError("alpha must be > 0 and salvage_multiplier >= 0")
         if self.topk_pmf is not None:
-            pmf = np.asarray(self.topk_pmf, dtype=float)
-            if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-9:
+            self._set(topk_pmf=np.asarray(self.topk_pmf, dtype=float))
+            if np.any(self.topk_pmf < 0) or abs(self.topk_pmf.sum() - 1.0) > 1e-9:
                 raise ConfigError("topk_pmf must be a probability distribution")
-            object.__setattr__(self, "topk_pmf", pmf)
         if self.replications < 1:
             raise ConfigError("need at least one replication")
         if self.max_bundles is not None and self.max_bundles < 0:
@@ -322,17 +326,7 @@ class SimConfig:
         ConfigError."""
         with config_errors("SimConfig JSON"):
             d = json.loads(text)
-            sup = dict(d["supply"])
-            sup["rate"] = float(sup["rate"])
-            sup["lifetime"] = (int(sup["lifetime"][0]), int(sup["lifetime"][1]))
-            sup["scatter"] = float(sup.get("scatter", 15.0))
-            for key in ("pickup_pmf", "dropoff_pmf"):
-                if key in sup:
-                    sup[key] = np.asarray(sup[key], dtype=float)
-            kwargs = {k: v for k, v in d.items() if k != "supply"}
-            if kwargs.get("topk_pmf") is not None:
-                kwargs["topk_pmf"] = np.asarray(kwargs["topk_pmf"], dtype=float)
-            return cls(supply=SupplyModel(**sup), **kwargs)
+            return cls.from_dict({**d, "supply": SupplyModel.from_dict(d["supply"])})
 
 
 # Per-replication metrics, in output order: three ratios, then the running
@@ -389,16 +383,15 @@ class SimMetrics:
             out[key] = {"mean": self.mean(key), "half_width": self.half_width(key)}
         return out
 
+    def to_json_dict(self) -> dict:
+        return {
+            "confidence": self.confidence,
+            "summary": self.summary(),
+            "samples": {k: v.tolist() for k, v in self.samples.items()},
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "confidence": self.confidence,
-                "summary": self.summary(),
-                "samples": {k: v.tolist() for k, v in self.samples.items()},
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 class _Loads:
@@ -588,7 +581,7 @@ def _run_replication(config: SimConfig, coeffs: FreightCoeffs, regions: RegionMo
     sup = config.supply
     n_regions = regions.n_regions
     pmf = regions.arrival_pmf
-    dropoff_pmf = pmf if sup.dropoff_pmf is None else np.asarray(sup.dropoff_pmf)
+    dropoff_pmf = pmf if sup.dropoff_pmf is None else sup.dropoff_pmf
     pickup_cdf = _cdf(pmf if sup.pickup_pmf is None else sup.pickup_pmf)
     dropoff_cdfs = [_cdf(dropoff_pmf)] * n_regions
     if sup.inter_region and n_regions > 1:

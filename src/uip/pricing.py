@@ -175,23 +175,17 @@ class DpSolution:
 
 
 def _member_tables(n_options: int):
-    """Flattened (mask, member) incidence, grouped by mask for reduceat."""
-    member_mask, member_opt, member_prev, seg_starts = [], [], [], []
-    pos = 0
-    for mask in range(1, 1 << n_options):
-        seg_starts.append(pos)
-        for i in range(n_options):
-            if mask >> i & 1:
-                member_mask.append(mask)
-                member_opt.append(i)
-                member_prev.append(mask ^ (1 << i))
-                pos += 1
-    return (
-        np.array(member_mask),
-        np.array(member_opt),
-        np.array(member_prev),
-        np.array(seg_starts),
-    )
+    """Flattened (mask, member) incidence, grouped by mask for reduceat.
+
+    Row k is one member i of one nonempty subset mask, in row-major order
+    (masks ascending, members ascending within a mask): member_mask[k] is
+    the mask, member_opt[k] is i and member_prev[k] is the mask without i.
+    seg_starts holds the first row of each mask."""
+    masks = np.arange(1, 1 << n_options)
+    rows, member_opt = np.nonzero((masks[:, None] >> np.arange(n_options)) & 1)
+    member_mask = masks[rows]
+    seg_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return member_mask, member_opt, member_mask ^ (1 << member_opt), seg_starts
 
 
 def exact_dp(

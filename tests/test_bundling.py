@@ -730,3 +730,14 @@ def test_min_empty_miles_maps_positions_to_ids(simplex_calls, seed, pairs, n_lp)
     assert sorted(o.items for o in chosen) == sorted(
         tuple(label[k] for k in p) for p in pairs)
     assert len(simplex_calls) == n_lp
+
+
+@pytest.mark.parametrize("seed,pairs,n_lp", _PAIRING_PINS)
+def test_min_empty_miles_pins_under_bland_rule(monkeypatch, seed, pairs, n_lp):
+    # Bland's rule from the first degenerate pivot on gives the same pairings
+    import uip.optim
+
+    monkeypatch.setattr(uip.optim, "_BLAND_AFTER", 0)
+    loads = TestMinEmptyMiles().make_loads(seed, 10)
+    ehat = list(np.random.default_rng(100 + seed).uniform(10, 80, 10))
+    assert sorted(o.items for o in min_empty_miles(loads, ehat)) == pairs

@@ -270,6 +270,17 @@ class TestOutputs:
         assert code == 1
         assert err.startswith("error: ") and needle in err
 
+    @pytest.mark.parametrize("block", ["coeffs", "regions"])
+    def test_unknown_key_in_instance_freight_block_is_an_error(self, tmp_path, capsys, block):
+        doc = json.loads(freight_instance_json())
+        doc["customer"]["quality_spec"]["freight"][block]["speed"] = 2.0
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        code, text = run(tmp_path, "bundle", "--instance", str(p))
+        err = capsys.readouterr().err
+        assert code == 1 and text == ""
+        assert err.startswith("error: instance JSON: ") and "unknown key 'speed'" in err
+
     @pytest.mark.parametrize("command", ["bundle", "greedy", "exact"])
     @pytest.mark.parametrize("flag, value", [
         ("--scenario", "A"), ("--L", "9"), ("--lambda", "3"), ("--mu", "0.2"),
@@ -299,6 +310,8 @@ class TestOutputs:
                                       [190.0, -15.0]])}, "must be finite"),
         ({"--coeffs": ("beta_dst", [-0.1, -0.2, -np.inf, 0.1]),
           "--regions": ("ehat", [45.0, np.inf, 35.0, 40.0])}, "must be finite"),
+        # the demo file with a key that names no field
+        ({"--coeffs": ("speed", 2.0), "--regions": ("speed", 2.0)}, "unknown key 'speed'"),
     ])
     def test_bad_coeff_or_region_file_is_an_error(self, tmp_path, capsys, flag, doc, needle):
         from uip.freight import demo_coeffs, demo_regions

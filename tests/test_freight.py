@@ -645,6 +645,41 @@ class TestConfigs:
         assert cfg.supply.rate == 0.2
         assert cfg.pricing == "linear"
 
+    @staticmethod
+    def assert_same_record(a, b):
+        # field by field, as arrays make the dataclass == ambiguous
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert type(x) is type(y), f.name
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            elif dataclasses.is_dataclass(x):
+                TestConfigs.assert_same_record(x, y)
+            else:
+                assert x == y, f.name
+
+    @pytest.mark.parametrize("record", [
+        demo_regions(),
+        demo_coeffs(),
+        SupplyModel(rate=0.3, lifetime=(4, 9), scatter=8.0, pickup_pmf=[0.1, 0.2, 0.3, 0.4],
+                    dropoff_pmf=np.array([0.25, 0.25, 0.5, 0.0]), inter_region=False),
+        dataclasses.replace(demo_sim_config("linear", seed=7, replications=3),
+                            topk_pmf=[0.0, 0.5, 0.5], max_bundles=2),
+    ], ids=lambda r: type(r).__name__)
+    def test_record_json_roundtrip(self, record):
+        text = json.dumps(record.to_dict())
+        back = (SimConfig.from_json(text) if isinstance(record, SimConfig)
+                else type(record).from_dict(json.loads(text)))
+        self.assert_same_record(back, record)
+
+    def test_record_built_in_code_has_the_json_types(self):
+        sup = SupplyModel(rate=1, lifetime=[20, 40])
+        assert type(sup.rate) is float and sup.lifetime == (20, 40)
+        assert type(sup.lifetime) is tuple and all(type(v) is int for v in sup.lifetime)
+        self.assert_same_record(SupplyModel.from_dict(json.loads(json.dumps(sup.to_dict()))),
+                                sup)
+
     def test_splitmix_is_stable(self):
         # reference values of the standard splitmix64 stream
         assert splitmix64(0) == 16294208416658607535

@@ -369,3 +369,74 @@ class TestBnb:
         _, milp = criterion_10_milp(0, np.random.default_rng(0))
         with pytest.raises(CapExceeded):
             enumerate_top_solutions(milp, 5)
+
+
+class TestSimplexSafetyPaths:
+    """Paths the simplex takes only on degenerate, redundant or stale input:
+    Bland's rule, the phase-1 drive-out of artificials, and the cold solve
+    that replaces a warm token the LP cannot use."""
+
+    def test_bland_rule_keeps_the_bnb_optima(self, monkeypatch):
+        # Bland's rule from the first degenerate pivot on, in the primal loop
+        rng = np.random.default_rng(10)
+        milps = [criterion_10_milp(trial, rng)[1] for trial in range(50)]
+        want = [bnb_solve(milp)[1] for milp in milps]
+        monkeypatch.setattr(uip.optim, "_BLAND_AFTER", 0)
+        assert [bnb_solve(milp)[1] for milp in milps] == want
+
+    def test_bland_rule_in_the_dual_simplex(self, monkeypatch):
+        # every pair of 5 items earns 1 and no singleton earns anything: the
+        # best partition holds two pairs, and the children of a fractional
+        # root re-enter through degenerate dual pivots
+        monkeypatch.setattr(uip.optim, "_BLAND_AFTER", 0)
+        options = [BundleOption(c) for k in (1, 2) for c in itertools.combinations(range(5), k)]
+        milp = SetPartitionMilp(options, [float(o.cardinality == 2) for o in options],
+                                range(5), 5)
+        z, obj = bnb_solve(milp)
+        assert obj == 2.0
+        assert sorted(o.cardinality for o in assignment_options(milp, z)) == [1, 2, 2]
+
+    @pytest.mark.parametrize("token", [
+        (("a", 0), ("s", 1)),  # an artificial
+        (("x", 7), ("s", 1)),  # a column past n
+        (("x", 0), ("s", 0)),  # the slack of an = row
+        (("x", 0), ("x", 0)),  # a repeated column
+        (("x", 0),),  # too short
+        (("x", 0), ("x", 1)),  # two equal columns: a singular basis
+        (("x", 2), ("s", 1)),  # primal infeasible and not dual feasible
+    ], ids=str)
+    def test_unusable_warm_token_solves_cold(self, monkeypatch, token):
+        warm_results = []
+        real = uip.optim._solve_warm
+
+        def recorded(*args):
+            warm_results.append(real(*args))
+            return warm_results[-1]
+
+        monkeypatch.setattr(uip.optim, "_solve_warm", recorded)
+        lp = rows_lp([1.0, 1.0, 0.5], [([1.0, 1.0, 1.0], EQ, 1.0), ([1.0, 1.0, 2.0], LE, 1.5)])
+        cold = simplex_solve(lp)
+        warm = simplex_solve(lp, warm_basis=token)
+        assert warm_results == [None]
+        assert (warm.status, warm.objective) == (cold.status, cold.objective) == ("optimal", 1.0)
+
+    def test_redundant_row_keeps_its_artificial(self):
+        # the = row written twice leaves an artificial basic at zero after
+        # phase 1, in a row with nothing to pivot on; the optimum is the
+        # one without the duplicate row
+        row, cap = ([1.0, 1.0, 1.0], EQ, 1.0), ([1.0, 0.0, 2.0], LE, 1.5)
+        sol = simplex_solve(rows_lp([1.0, 2.0, 0.5], [row, row, cap]))
+        assert sol.status == "optimal"
+        assert sol.objective == simplex_solve(rows_lp([1.0, 2.0, 0.5], [row, cap])).objective
+        assert sol.objective == pytest.approx(2.0, abs=1e-12)
+        assert sol.primal == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+        assert max(sol.residuals.values()) <= 1e-7
+
+    def test_artificial_at_zero_is_pivoted_out(self):
+        # -x0 - x1 = 0 prices no column into phase 1, so its artificial
+        # stays basic at zero and is pivoted out on x0 before phase 2
+        sol = simplex_solve(rows_lp([1.0, 1.0, 1.0], [([-1.0, -1.0, 0.0], EQ, 0.0),
+                                                      ([0.0, 0.0, 1.0], LE, 1.0)]))
+        assert sol.status == "optimal" and sol.objective == 1.0
+        assert list(sol.primal) == [0.0, 0.0, 1.0]
+        assert max(sol.residuals.values()) <= 1e-7

@@ -524,6 +524,21 @@ def _per_type_dp(inst, option_set):
     return values
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_member_tables_match_the_mask_loop(n):
+    member_mask, member_opt, member_prev, seg_starts = [], [], [], []
+    for mask in range(1, 1 << n):
+        seg_starts.append(len(member_mask))
+        for i in range(n):
+            if mask >> i & 1:
+                member_mask.append(mask)
+                member_opt.append(i)
+                member_prev.append(mask ^ (1 << i))
+    want = [np.array(t) for t in (member_mask, member_opt, member_prev, seg_starts)]
+    for got, ref in zip(_member_tables(n), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ten_options_match_per_type_loop(seed):
     # two types at N=10 give one W call of 2046 elements where the per-type
