@@ -67,12 +67,11 @@ _MAX_HALVINGS = 60
 @dataclass
 class PriceTrajectory:
     """Period-by-option price matrix; prices[t-1] applies when t periods
-    remain. Flags certify homogeneity (type-independent by construction)
-    and canonical monotonicity (non-increasing as t decreases, price at
-    t=1 at or above salvage)."""
+    remain. A (T, N) matrix is homogeneous (type-independent) by its shape;
+    the flag certifies canonical monotonicity (non-increasing as t
+    decreases, price at t=1 at or above salvage)."""
 
     prices: np.ndarray  # (T, N)
-    homogeneous: bool
     monotone_ok: bool
 
 
@@ -187,11 +186,7 @@ def backward_upper(instance: MarketInstance, option_set: OptionSet) -> BoundResu
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     r, tau = _upper_profiles(instance, q, xi)
-    traj = PriceTrajectory(
-        prices=tau,
-        homogeneous=True,
-        monotone_ok=check_monotone(tau, xi, beta_p),
-    )
+    traj = PriceTrajectory(prices=tau, monotone_ok=check_monotone(tau, xi, beta_p))
     return BoundResult(
         kind="upper_backward", value=float(r.sum()), per_option=r, trajectory=traj
     )
@@ -214,8 +209,7 @@ def backward_lower(instance: MarketInstance, option_set: OptionSet) -> BoundResu
 
 def _warn_uncertified() -> None:
     warnings.warn(
-        "trajectory is not homogeneous+monotone: DFA value returned "
-        "but not certified as a bound",
+        "trajectory is not monotone: DFA value returned but not certified as a bound",
         ValidityWarning,
         stacklevel=3,
     )
@@ -261,9 +255,10 @@ def dfa(
 
     Availability enters fully for the own option and scaled by the rivals'
     availability; each step costs O(N) per type. Certified as a lower bound
-    only for homogeneous, canonically monotone trajectories. This is the
-    K = 1 case of the batched recursion that column generation runs on many
-    option sets at once, and it gives the same value bit for bit.
+    only for canonically monotone trajectories (every (T, N) price matrix
+    is homogeneous). This is the K = 1 case of the batched recursion that
+    column generation runs on many option sets at once, and it gives the
+    same value bit for bit.
     """
     q, xi, pmf, beta_p = _set_arrays(instance, option_set)
     T = instance.horizon
@@ -271,7 +266,7 @@ def dfa(
     tau = trajectory.prices
     if tau.shape != (T, n):
         raise DimensionMismatch(f"trajectory shape {tau.shape} != {(T, n)}")
-    certified = trajectory.homogeneous and trajectory.monotone_ok
+    certified = trajectory.monotone_ok
     if not certified:
         _warn_uncertified()
     ev = np.exp(q + beta_p * tau[:, None, None, :])  # (T, 1, W, N)

@@ -143,11 +143,8 @@ class _SetEvaluator:
 
     def trajectory(self, indices: Sequence[int]) -> PriceTrajectory:
         idx = list(indices)
-        return PriceTrajectory(
-            prices=self.tau[:, idx],
-            homogeneous=True,
-            monotone_ok=bool(np.all(self.monotone[idx])),
-        )
+        return PriceTrajectory(prices=self.tau[:, idx],
+                               monotone_ok=bool(np.all(self.monotone[idx])))
 
     def complete_with_singletons(self, j: int) -> list[int]:
         """Indices of S_j: option j plus singletons of the items not in j."""

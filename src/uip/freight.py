@@ -17,7 +17,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,45 +25,8 @@ from scipy.special import stdtrit
 
 from .bundling import _greedy_sweep, _min_deadhead_pairs
 from .errors import ConfigError, MissingFreightData, config_errors
-from .model import CustomerModel, Item, MarketInstance
+from .model import CustomerModel, Item, MarketInstance, _integer, _Record
 from .numerics import _lse_kernel, _lse_weights, lambert_w_exp
-
-
-class _Record:
-    """Base of the frozen config records, which read and write JSON objects
-    with one key per dataclass field, in field order.
-
-    to_dict writes arrays and tuples as lists and nested records as dicts.
-    from_dict passes every key to the constructor: a field without a default
-    must be present, an absent optional field keeps its default, and a key
-    that names no field is a ConfigError. Each record's __post_init__
-    normalises the field types, so a record built in code and one read from
-    JSON hold the same types."""
-
-    def _set(self, **values):
-        """Store normalised field values on the frozen record."""
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def to_dict(self) -> dict:
-        def plain(v):
-            if isinstance(v, _Record):
-                return v.to_dict()
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            return list(v) if isinstance(v, tuple) else v
-
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        # d[name] of a missing required field raises KeyError(name) before
-        # any unknown key is reported
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
-        unknown = set(d).difference(kwargs)
-        if unknown:
-            raise ConfigError(f"unknown key {min(unknown)!r}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -258,8 +221,10 @@ class SupplyModel(_Record):
 
     def __post_init__(self):
         pmfs = ("pickup_pmf", "dropoff_pmf")
+        if not isinstance(self.lifetime, (tuple, list)) or len(self.lifetime) != 2:
+            raise ConfigError(f"lifetime must have two entries, got {self.lifetime}")
         self._set(rate=float(self.rate), scatter=float(self.scatter),
-                  lifetime=(int(self.lifetime[0]), int(self.lifetime[1])),
+                  lifetime=tuple(_integer("lifetime", x) for x in self.lifetime),
                   **{k: np.asarray(getattr(self, k), dtype=float) for k in pmfs
                      if getattr(self, k) is not None})
         if self.rate < 0:
@@ -293,6 +258,9 @@ class SimConfig(_Record):
     confidence: float = 0.99
 
     def __post_init__(self):
+        ints = ("horizon_periods", "seed", "replications", "rolling_period", "max_bundles")
+        self._set(**{k: _integer(k, getattr(self, k)) for k in ints
+                     if getattr(self, k) is not None})
         if self.framework not in ("no_bundle", "rolling_horizon", "personalized"):
             raise ConfigError(f"unknown framework {self.framework!r}")
         if self.bundling not in ("greedy", "min_empty_miles"):

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,8 +31,65 @@ from .numerics import log_sum_exp
 DEFAULT_OPTION_CAP = 200_000
 
 
+def _check_keys(d: dict, known) -> None:
+    """Reject the keys of a JSON object that are not in known: the first in
+    sorted order is reported as a ConfigError."""
+    unknown = set(d).difference(known)
+    if unknown:
+        raise ConfigError(f"unknown key {min(unknown)!r}")
+
+
+def _integer(name: str, value) -> int:
+    """An integer field's value as an int. An integral number (1500 or
+    1500.0) is accepted; anything else (30.5, true, "x", NaN) is a
+    ConfigError naming the field."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value == int(value)):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+class _Record:
+    """Base of the frozen records that read and write JSON objects with one
+    key per dataclass field, in field order: an instance file's items and
+    their freight block here, and the freight config records (RegionModel,
+    FreightCoeffs, SupplyModel, SimConfig) in freight.py.
+
+    to_dict writes arrays and tuples as lists, nested records as dicts and
+    None as null. from_dict passes every key to the constructor: a field
+    without a default must be present, an absent optional field keeps its
+    default, and a key that names no field is a ConfigError. A nested
+    record is read by its own from_dict first (see SimConfig.from_json and
+    the items of instance_from_json). Each record's __post_init__
+    normalises the field types, an integer field through _integer, so a
+    record built in code and one read from JSON hold the same types."""
+
+    def _set(self, **values):
+        """Store normalised field values on the frozen record."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def to_dict(self) -> dict:
+        def plain(v):
+            if isinstance(v, _Record):
+                return v.to_dict()
+            if isinstance(v, np.ndarray):
+                return v.tolist()
+            return list(v) if isinstance(v, tuple) else v
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        # d[name] of a missing required field raises KeyError(name) before
+        # any unknown key is reported
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING}
+        _check_keys(d, kwargs)
+        return cls(**kwargs)
+
+
 @dataclass(frozen=True)
-class FreightItemData:
+class FreightItemData(_Record):
     """Geometry and deadline of a freight load, coordinates in miles."""
 
     pickup: tuple[float, float]
@@ -46,6 +103,9 @@ class FreightItemData:
                 isinstance(x, numbers.Real) and math.isfinite(x) for x in point
             )):
                 raise DomainError(f"{name} must be two finite numbers, got {point}")
+        self._set(pickup=tuple(map(float, self.pickup)),
+                  dropoff=tuple(map(float, self.dropoff)),
+                  expiration=_integer("expiration", self.expiration))
 
     @property
     def loaded_miles(self) -> float:
@@ -55,13 +115,15 @@ class FreightItemData:
 
 
 @dataclass(frozen=True)
-class Item:
+class Item(_Record):
     id: int
     salvage: float = 0.0
     features: Optional[tuple[float, float]] = None
     freight: Optional[FreightItemData] = None
 
     def __post_init__(self):
+        self._set(id=_integer("id", self.id), salvage=float(self.salvage),
+                  features=None if self.features is None else tuple(self.features))
         if not math.isfinite(self.salvage):
             raise DomainError("salvage must be finite")
 
@@ -277,17 +339,16 @@ def option_count(n_items: int, max_bundle_size: int) -> int:
     return total
 
 
-def enumerate_options(
-    instance: MarketInstance, cap: int = DEFAULT_OPTION_CAP
-) -> list[BundleOption]:
+def enumerate_options(instance: MarketInstance) -> list[BundleOption]:
     """All ordered sequences of distinct items with length 1..K_b.
 
     Deterministic order: by length, then lexicographic on sorted item ids.
-    Raises CapExceeded before generating anything if the count is too large.
+    Raises CapExceeded before generating anything if the count exceeds
+    DEFAULT_OPTION_CAP.
     """
     n = option_count(instance.n_items, instance.max_bundle_size)
-    if n > cap:
-        raise CapExceeded(f"{n} options exceed the cap of {cap}")
+    if n > DEFAULT_OPTION_CAP:
+        raise CapExceeded(f"{n} options exceed the cap of {DEFAULT_OPTION_CAP}")
     ids = sorted(it.id for it in instance.items)
     out: list[BundleOption] = []
     for k in range(1, instance.max_bundle_size + 1):
@@ -430,25 +491,7 @@ def instance_to_json(instance: MarketInstance, quality_spec: dict) -> str:
     """Serialize an instance; quality_spec names a built-in scenario or a
     freight coefficient block (callables themselves are not serialized)."""
     doc = {
-        "items": [
-            {
-                "id": it.id,
-                "salvage": it.salvage,
-                **({"features": list(it.features)} if it.features else {}),
-                **(
-                    {
-                        "freight": {
-                            "pickup": list(it.freight.pickup),
-                            "dropoff": list(it.freight.dropoff),
-                            "expiration": it.freight.expiration,
-                        }
-                    }
-                    if it.freight
-                    else {}
-                ),
-            }
-            for it in instance.items
-        ],
+        "items": [it.to_dict() for it in instance.items],
         "customer": {
             "types": list(instance.customer.types),
             "pmf": instance.customer.arrival_pmf.tolist(),
@@ -465,41 +508,36 @@ def instance_to_json(instance: MarketInstance, quality_spec: dict) -> str:
 
 def instance_from_json(text: str) -> MarketInstance:
     """Parse an instance written by instance_to_json. Malformed JSON, a
-    missing key, a negative item id or a freight file whose customer block
-    disagrees with its freight block raise ConfigError."""
+    missing or unknown key, an integer field that is not an integral
+    number, a negative item id or a freight file whose customer block
+    disagrees with its freight block raise ConfigError; an error in an
+    item names its position in the items list."""
     with config_errors("instance JSON"):
         return _instance_from_doc(json.loads(text))
 
 
 def _instance_from_doc(doc: dict) -> MarketInstance:
+    _check_keys(doc, ("items", "customer", "lambda", "mu", "ks", "kb"))
     items = []
-    for d in doc["items"]:
-        freight = None
-        if "freight" in d:
-            f = d["freight"]
+    for k, d in enumerate(doc["items"]):
+        with config_errors(f"item {k}"):
             try:
-                freight = FreightItemData(
-                    pickup=tuple(f["pickup"]),
-                    dropoff=tuple(f["dropoff"]),
-                    expiration=int(f["expiration"]),
-                )
-            except DomainError as exc:
-                raise ConfigError(f"item {d['id']}: {exc}") from exc
-        item = Item(
-            id=int(d["id"]),
-            salvage=float(d.get("salvage", 0.0)),
-            features=tuple(d["features"]) if "features" in d else None,
-            freight=freight,
-        )
+                f = d["freight"] if "freight" in d else None
+                item = Item.from_dict(d if f is None else
+                                      {**d, "freight": FreightItemData.from_dict(f)})
+            except DomainError as exc:  # a bad load end or salvage, named with its item
+                raise ConfigError(exc) from exc
         if item.id < 0:
             raise ConfigError(f"item ids must be nonnegative, got {item.id}")
         items.append(item)
     items = tuple(items)
     cust = doc["customer"]
+    _check_keys(cust, ("types", "pmf", "beta_p", "quality_spec"))
     spec = cust["quality_spec"]
     season = dict(demand=float(doc["lambda"]), arrival_prob=float(doc["mu"]),
-                  max_bundles=int(doc["ks"]), max_bundle_size=int(doc["kb"]))
+                  max_bundles=_integer("ks", doc["ks"]), max_bundle_size=_integer("kb", doc["kb"]))
     if "scenario" in spec:
+        _check_keys(spec, ("scenario", "beta"))
         for it in items:
             f = it.features
             if f is None or len(f) != 2 or not all(
@@ -511,7 +549,9 @@ def _instance_from_doc(doc: dict) -> MarketInstance:
     elif "freight" in spec:
         from .freight import FreightCoeffs, RegionModel, freight_instance
 
+        _check_keys(spec, ("freight",))
         block = spec["freight"]
+        _check_keys(block, ("coeffs", "regions"))
         coeffs = FreightCoeffs.from_dict(block["coeffs"])
         regions = RegionModel.from_dict(block["regions"])
         # the freight block is the copy that is priced, so the customer

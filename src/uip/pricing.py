@@ -188,16 +188,12 @@ def _member_tables(n_options: int):
     return member_mask, member_opt, member_mask ^ (1 << member_opt), seg_starts
 
 
-def exact_dp(
-    instance: MarketInstance,
-    option_set: OptionSet,
-    cap: int = DEFAULT_DP_CAP,
-) -> DpSolution:
+def exact_dp(instance: MarketInstance, option_set: OptionSet) -> DpSolution:
     """Solve the finite-horizon pricing problem exactly over subset states.
 
     State space is a bitmask over the option list; each period applies the
     closed-form single-arrival optimum for every subset and type. Memory and
-    time are O(T * 2^N * n_types); both are capped.
+    time are O(T * 2^N * n_types); both are capped at DEFAULT_DP_CAP.
 
     One period is one pass over all types at once: the scores of every
     (type, subset member) pair form one (types, members) array, the
@@ -214,8 +210,9 @@ def exact_dp(
         raise CapExceeded(f"{n} options exceed the 2^14 state-space limit")
     T = instance.horizon
     k = instance.customer.n_types
-    if (T + 1) * (1 << n) * k > cap:
-        raise CapExceeded(f"T*2^N*types = {(T+1) * (1 << n) * k} exceeds cap {cap}")
+    states = (T + 1) * (1 << n) * k
+    if states > DEFAULT_DP_CAP:
+        raise CapExceeded(f"T*2^N*types = {states} exceeds cap {DEFAULT_DP_CAP}")
 
     q = instance.customer.quality_matrix(option_set.options)
     beta_p = instance.customer.price_sensitivity
@@ -364,7 +361,7 @@ def enumerate_partitions(instance: MarketInstance) -> list[OptionSet]:
 
 
 def exhaustive_best_partition(
-    instance: MarketInstance, cap: int = DEFAULT_DP_CAP
+    instance: MarketInstance
 ) -> tuple[OptionSet, float, list[tuple[OptionSet, float]]]:
     """Argmax of the exact value over all partitions (canonical orientation:
     for beta_p > 0 the best set has the smallest value). Ties break on the
@@ -372,7 +369,7 @@ def exhaustive_best_partition(
     sign = canonical_sign(instance.customer.price_sensitivity)
     scored = []
     for part in enumerate_partitions(instance):
-        val = exact_dp(instance, part, cap=cap).value()
+        val = exact_dp(instance, part).value()
         scored.append((part, val))
     top = max(sign * v for _, v in scored)
     ties = [p for p, v in scored if sign * v == top]

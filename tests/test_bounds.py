@@ -86,7 +86,7 @@ class TestBackwardUpper:
             s0 = singletons(inst)
             res = backward_upper(inst, s0)
             traj = res.trajectory
-            assert traj.homogeneous and traj.monotone_ok
+            assert traj.monotone_ok
             xi = inst.salvage_vector(s0.options)
             assert np.all(traj.prices[0] >= xi - 1e-12)
             assert np.all(np.diff(traj.prices, axis=0) >= -1e-12)
@@ -152,7 +152,7 @@ class TestBackwardLower:
 class TestDfa:
     def test_horizon_zero(self):
         inst = single_item_instance(salvage=0.4, demand=0.05, mu=0.1)
-        traj = PriceTrajectory(np.zeros((0, 1)), True, True)
+        traj = PriceTrajectory(np.zeros((0, 1)), True)
         res = dfa(inst, singletons(inst), traj)
         assert res.value == pytest.approx(0.4)
         assert np.all(res.availability == 1.0)
@@ -190,7 +190,7 @@ class TestDfa:
         s0 = singletons(inst)
         T, n = inst.horizon, len(s0.options)
         bad = PriceTrajectory(np.linspace(2, 0, T)[:, None] * np.ones((1, n)),
-                              homogeneous=True, monotone_ok=False)
+                              monotone_ok=False)
         with pytest.warns(ValidityWarning):
             res = dfa(inst, s0, bad)
         assert not res.certified
@@ -232,7 +232,7 @@ class TestDfa:
         inst = random_instance(4, lam=2.0)
         s0 = singletons(inst)
         with pytest.raises(DimensionMismatch):
-            dfa(inst, s0, PriceTrajectory(np.zeros((3, 99)), True, True))
+            dfa(inst, s0, PriceTrajectory(np.zeros((3, 99)), True))
 
 
 class TestFluid:

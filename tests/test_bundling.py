@@ -217,7 +217,7 @@ class TestColumnGenerationValues:
             singles = sorted(singletons(inst).options, key=lambda o: o.items)
 
             def value(options):
-                traj = PriceTrajectory(tau[:, [pos[o.items] for o in options]], True, True)
+                traj = PriceTrajectory(tau[:, [pos[o.items] for o in options]], True)
                 return s * dfa(inst, OptionSet(tuple(options)), traj).value
 
             v0 = value(singles)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uip.cli import intro_example_values, main
-from uip.model import instance_to_json, generate_synthetic
+from uip.model import instance_from_json, instance_to_json, generate_synthetic
 
 
 def run(tmp_path, *argv):
@@ -109,6 +109,15 @@ class TestDeterminism:
         assert doc["options"] == options
         blob = json.dumps(doc, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+    def test_freight_file_items_roundtrip(self):
+        # items and their freight block are written and read as records, so
+        # the file re-writes byte for byte
+        text = freight_instance_json()
+        inst = instance_from_json(text)
+        again = instance_to_json(inst, json.loads(text)["customer"]["quality_spec"])
+        assert again == text
+        assert instance_from_json(again).items == inst.items
 
     def test_simulate_byte_identical(self, tmp_path):
         import json as _json
@@ -216,6 +225,18 @@ class TestOutputs:
           for flag, value in (("--pricing", "linear"), ("--seeds", "5"), ("--seed", "9"))],
         pytest.param({"supply": {"rate": 0.2, "lifetime": [10]}, "horizon_periods": 50,
                       "seed": 1}, "SimConfig JSON", [], id="cfg5-one-lifetime-bound"),
+        # an integer field takes an integral number, and lifetime two of them
+        *[pytest.param({"supply": {"rate": 0.2, "lifetime": [10, 20]}, "horizon_periods": 50,
+                        "seed": 1, key: value}, f"{key} must be an integer, got {value!r}", [],
+                       id=f"int-{key}-{value!r}")
+          for key, value in (("horizon_periods", 50.5), ("horizon_periods", float("nan")),
+                             ("seed", 1.5), ("seed", True), ("replications", 1.5),
+                             ("replications", "x"), ("rolling_period", 2.5),
+                             ("max_bundles", 1.5))],
+        *[pytest.param({"supply": {"rate": 0.2, "lifetime": lifetime}, "horizon_periods": 50,
+                        "seed": 1}, needle, [], id=f"lifetime-{lifetime}")
+          for lifetime, needle in (([10, 15, 20], "lifetime must have two entries"),
+                                   ([10.7, 20], "lifetime must be an integer, got 10.7"))],
     ])
     def test_bad_simulate_config_is_an_error(self, tmp_path, capsys, cfg, needle, flags):
         p = tmp_path / "cfg.json"
@@ -252,10 +273,36 @@ class TestOutputs:
         ("scenario", lambda d: d["items"][1].pop("features"), "item 1"),
         ("scenario", lambda d: d["items"][1].update(features=[0.5]), "item 1"),
         ("scenario", lambda d: d["items"][1].update(features=[0.5, "x"]), "item 1"),
+        # every key names a field, at every level of the file
+        ("scenario", lambda d: [it.update(salvge=it.pop("salvage")) for it in d["items"]],
+         "instance JSON: item 0: unknown key 'salvge'"),
+        ("scenario", lambda d: d["customer"].update(quality_spec={"scenario": "B", "Beta": 2.0}),
+         "instance JSON: unknown key 'Beta'"),
+        ("scenario", lambda d: d.update(horizon=9), "instance JSON: unknown key 'horizon'"),
+        ("scenario", lambda d: d["customer"].update(speed=2.0),
+         "instance JSON: unknown key 'speed'"),
+        ("freight", lambda d: d["customer"]["quality_spec"].update(beta=2.0),
+         "instance JSON: unknown key 'beta'"),
+        ("freight", lambda d: d["customer"]["quality_spec"]["freight"].update(speed=2.0),
+         "instance JSON: unknown key 'speed'"),
+        ("freight", lambda d: d["items"][1]["freight"].update(speed=2.0),
+         "instance JSON: item 1: unknown key 'speed'"),
+        # an integer field takes an integral number
+        ("scenario", lambda d: d["items"][1].update(id=1.5),
+         "instance JSON: item 1: id must be an integer, got 1.5"),
+        ("scenario", lambda d: d["items"][1].update(id=True),
+         "instance JSON: item 1: id must be an integer, got True"),
+        ("freight", lambda d: d["items"][1]["freight"].update(expiration=30.5),
+         "instance JSON: item 1: expiration must be an integer, got 30.5"),
+        ("scenario", lambda d: d.update(ks=1.5), "instance JSON: ks must be an integer, got 1.5"),
+        ("scenario", lambda d: d.update(kb=2.5), "instance JSON: kb must be an integer, got 2.5"),
     ], ids=["missing-pmf", "freight-2-types", "freight-5-types", "freight-reversed-types",
             "freight-other-pmf", "freight-other-beta-p", "freight-other-coeffs-beta-p",
             "freight-one-coordinate", "scenario-1-type", "no-features", "one-feature",
-            "text-feature"])
+            "text-feature", "misspelled-salvage", "misspelled-beta", "top-level-key",
+            "customer-key", "freight-spec-key", "freight-block-key", "load-key",
+            "fractional-id", "boolean-id", "fractional-expiration", "fractional-ks",
+            "fractional-kb"])
     def test_bad_bundle_instance_is_an_error(self, tmp_path, capsys, market, edit, needle):
         if market == "freight":
             doc = json.loads(freight_instance_json())

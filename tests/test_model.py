@@ -56,9 +56,11 @@ class TestOptions:
         assert len({o.items for o in opts}) == 15
 
     def test_cap(self):
-        inst = tiny_instance(10, kb=3)
-        with pytest.raises(CapExceeded):
-            enumerate_options(inst, cap=100)
+        # 60 + 3,540 + 205,320 options, above the cap of 200,000; the check
+        # raises before any option is built
+        inst = tiny_instance(60, kb=3)
+        with pytest.raises(CapExceeded, match="208920 options"):
+            enumerate_options(inst)
 
     def test_bundle_option_validation(self):
         with pytest.raises(ValueError):
@@ -293,6 +295,53 @@ class TestSerialization:
         doc["items"][2]["id"] = -1
         with pytest.raises(ConfigError):
             instance_from_json(json.dumps(doc))
+
+    @staticmethod
+    def markets():
+        """A scenario market with salvage and a two-load freight market, each
+        with its quality_spec."""
+        from uip.freight import demo_coeffs, demo_regions, freight_instance
+        from uip.model import FreightItemData
+
+        scenario = generate_synthetic(0, 4, "B", 2.0, demand=4.0, salvage=0.5)
+        coeffs, regions = demo_coeffs(), demo_regions()
+        loads = [Item(i, salvage=100.0 * (i + 1),
+                      freight=FreightItemData((10.0 * i, 0), (50, 60.0 * i), 40 + i))
+                 for i in range(2)]
+        return [(scenario, {"scenario": "B", "beta": 2.0}),
+                (freight_instance(loads, coeffs, regions, demand=4.0),
+                 {"freight": {"coeffs": coeffs.to_dict(), "regions": regions.to_dict()}})]
+
+    def test_items_roundtrip_as_records(self):
+        for inst, spec in self.markets():
+            assert instance_from_json(instance_to_json(inst, spec)).items == inst.items
+
+    def test_file_without_null_item_keys_reads_to_an_equal_market(self):
+        # files written before items were records leave out a null features
+        # or freight key
+        opts = [BundleOption((0,)), BundleOption((1, 0))]
+        for inst, spec in self.markets():
+            doc = json.loads(instance_to_json(inst, spec))
+            for d in doc["items"]:
+                for key in [k for k, v in d.items() if v is None]:
+                    del d[key]
+            back = instance_from_json(json.dumps(doc))
+            assert back.items == inst.items
+            assert (back.demand, back.arrival_prob, back.max_bundles, back.max_bundle_size) == (
+                inst.demand, inst.arrival_prob, inst.max_bundles, inst.max_bundle_size)
+            assert np.array_equal(back.customer.quality_matrix(opts),
+                                  inst.customer.quality_matrix(opts))
+
+    def test_item_fields_hold_the_types_of_a_read_item(self):
+        from uip.model import FreightItemData
+
+        it = Item(np.int64(3), salvage=1, features=[0.1, 0.2])
+        assert type(it.id) is int and type(it.salvage) is float
+        assert type(it.features) is tuple and it.features == (0.1, 0.2)
+        f = FreightItemData([np.float64(1.0), 2], (3, 4.0), np.int64(30))
+        assert f.pickup == (1.0, 2.0) and f.dropoff == (3.0, 4.0) and f.expiration == 30
+        assert all(type(x) is float for x in f.pickup + f.dropoff)
+        assert type(f.expiration) is int
 
     def test_freight_roundtrip(self):
         from uip.freight import demo_coeffs, demo_regions

@@ -211,9 +211,11 @@ class TestExactDp:
         inst = generate_synthetic(0, 15, "A", 1.0, max_bundle_size=1)
         with pytest.raises(CapExceeded):
             exact_dp(inst, singletons(inst))
-        inst = generate_synthetic(0, 3, "A", 1.0, demand=1000.0, arrival_prob=0.01)
-        with pytest.raises(CapExceeded):
-            exact_dp(inst, singletons(inst), cap=1000)
+        # T = 2000: 2001 * 2^14 * 2 = 65.6M states, above the cap of 50M;
+        # the check raises before anything is allocated
+        inst = generate_synthetic(0, 14, "A", 1.0, demand=200.0, max_bundle_size=1)
+        with pytest.raises(CapExceeded, match="65568768"):
+            exact_dp(inst, singletons(inst))
 
     def test_dp_prices_match_single_period_optimum(self):
         inst = generate_synthetic(5, 2, "A", 1.0, demand=2.0)
